@@ -506,6 +506,12 @@ _HANDLERS = {
 
 def _pin_threads(count):
     # effective only before the first numpy import in this process
+    if "numpy" in sys.modules:
+        log.warning(
+            "numpy was loaded before gkw started, so BLAS threads cannot be "
+            "pinned to %d; --threads and --strict-determinism have no effect "
+            "in this process", count,
+        )
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(count)

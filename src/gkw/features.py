@@ -9,6 +9,7 @@ first and second order deltas for 39 dimensions total. Clips longer than
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -175,8 +176,14 @@ def read_features(path):
         version, rows, cols = struct.unpack("<III", head[4:])
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(rows * cols * 4 + 1)
-    if len(payload) != rows * cols * 4:
+        nbytes = rows * cols * 4
+        # a corrupt header must not make us allocate what the file cannot hold
+        if nbytes > os.fstat(fh.fileno()).st_size - len(head):
+            raise FormatError(
+                f"{path}: truncated payload, header claims {rows}x{cols}"
+            )
+        payload = fh.read(nbytes + 1)
+    if len(payload) != nbytes:
         raise FormatError(
             f"{path}: truncated or oversized payload, header claims {rows}x{cols}"
         )

@@ -67,6 +67,23 @@ def conv1d_valid(x, filters, bias, lengths=None):
     out[t, k] = bias[k] + sum_{i, d} x[t+i, d] * filters[k, i, d],
     shape (T - width + 1, K). Every valid frame window must fit:
     each row needs at least `width` valid frames.
+
+    Layout: the batch is viewed as one (B*T, D) matrix and each tap i is a
+    single GEMM, flat[:n] += x_flat[i:i+n] @ filters[:, i].T with
+    n = B*T - width + 1 (Chellapilla et al. 2006 without the im2col copy).
+    Flat row b*T + t is output frame t of row b; rows whose window runs
+    into the next batch row have t >= T - width + 1 and are cut off. The
+    input gradient runs the same way on the zero-padded (B*T, K) output
+    gradient. Every output element is the same inner product as in a
+    per-row GEMM (inner dimension D forward, K for the input gradient) and
+    the taps are added in the same order, so flattening only turns B small
+    GEMMs per tap into one tall one, and at the default models' layer sizes
+    the result is bitwise that of one GEMM per row. BLAS libraries switch
+    to other kernels for small products (OpenBLAS below roughly 1e5
+    multiply-adds per row, e.g. a 6-word psc output layer on short
+    utterances, or 1-3 output frames per row), and those can round the
+    last bit differently. No (B*T, width*D) column matrix is built: for
+    long inputs and few filters it would be many times the input's size.
     """
     xb, lifted = _as_batch(x)
     filters = _as_tensor(filters)
@@ -88,10 +105,13 @@ def conv1d_valid(x, filters, bias, lengths=None):
         )
 
     T_out = T - width + 1
-    out_data = np.zeros((B, T_out, K), dtype=xb.data.dtype)
+    n = B * T - width + 1
+    x_flat = xb.data.reshape(B * T, D)
+    flat = np.zeros((B * T, K), dtype=xb.data.dtype)
     for i in range(width):
-        out_data += xb.data[:, i:i + T_out, :] @ filters.data[:, i, :].T
-    out_data += bias.data
+        flat[:n] += x_flat[i:i + n] @ filters.data[:, i, :].T
+    out_data = np.empty((B, T_out, K), dtype=xb.data.dtype)
+    np.add(flat.reshape(B, T, K)[:, :T_out], bias.data, out=out_data)
     out_len = conv_out_lengths(lengths, width)
     row_valid = _valid_time_mask(out_len, T_out)
     out_data[~row_valid] = 0.0
@@ -107,10 +127,12 @@ def conv1d_valid(x, filters, bias, lengths=None):
                 gf = np.tensordot(g, win, axes=([0, 1], [0, 1]))   # (K,D,width)
                 filters.accumulate_grad(np.ascontiguousarray(gf.transpose(0, 2, 1)))
             if xb.requires_grad:
-                gx = np.zeros_like(xb.data)
+                g_flat = np.zeros((B * T, K), dtype=g.dtype)
+                g_flat.reshape(B, T, K)[:, :T_out] = g
+                gx = np.zeros((B * T, D), dtype=xb.data.dtype)
                 for i in range(width):
-                    gx[:, i:i + T_out, :] += g @ filters.data[:, i, :]
-                xb.accumulate_grad(gx)
+                    gx[i:i + n] += g_flat[:n] @ filters.data[:, i, :]
+                xb.accumulate_grad(gx.reshape(B, T, D))
         out._backward = backward
     return out.reshape(T_out, K) if lifted else out
 

@@ -77,12 +77,17 @@ class Tensor:
 
         Visits each reachable node exactly once, in reverse topological
         order (iterative postorder: deep graphs do not hit the recursion
-        limit).
+        limit). Each node's backward closure is dropped once it has run, so
+        a graph can be swept only once: the closure refers to its own output
+        tensor, and that cycle would keep the whole graph, activations and
+        gradients, alive until Python's cycle collector happens to run.
         """
         if self.data.size != 1:
             raise ValueError(
                 f"backward() needs a scalar seed, got shape {self.data.shape}"
             )
+        if self._parents and self.requires_grad and self._backward is None:
+            raise ValueError("backward() already ran through this graph")
         topo = []
         visited = {id(self)}
         stack = [(self, iter(self._parents))]
@@ -100,8 +105,9 @@ class Tensor:
                 stack.pop()
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+            backward, node._backward = node._backward, None
+            if backward is not None:
+                backward()
 
     # -- small arithmetic closure, enough for losses and tests ------------
 

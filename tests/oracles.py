@@ -102,3 +102,34 @@ def random_eval_instance(rng, oov_words=("zzq", "xxo")):
     # make sure at least one in-vocabulary positive exists
     reference[ids[0]] = frozenset(set(reference[ids[0]]) | {vocab.words[0]})
     return ScoreTable(ids, scores, vocab), reference
+
+
+def oracle_conv1d(x, filters, bias, lengths, grad_out):
+    """Valid convolution of each utterance on its own, tap by tap, in float64.
+
+    x: (B, T, D); filters: (K, width, D); bias: (K,); lengths: (B,);
+    grad_out: (B, T - width + 1, K). Returns (out, d_filters, d_bias, d_x):
+    the output, zero past each row's valid frames, and the gradients of
+    sum(out * grad_out). Frames past a row's length are never read.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    filters = np.asarray(filters, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    B, T, D = x.shape
+    K, width, _ = filters.shape
+    out = np.zeros((B, T - width + 1, K))
+    d_filters = np.zeros_like(filters)
+    d_bias = np.zeros(K)
+    d_x = np.zeros_like(x)
+    for b in range(B):
+        utt = x[b, : lengths[b]]
+        for t in range(len(utt) - width + 1):
+            g = grad_out[b, t]
+            out[b, t] = bias
+            d_bias += g
+            for i in range(width):
+                out[b, t] += filters[:, i, :] @ utt[t + i]
+                d_filters[:, i, :] += np.outer(g, utt[t + i])
+                d_x[b, t + i] += g @ filters[:, i, :]
+    return out, d_filters, d_bias, d_x

@@ -286,3 +286,12 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     first_sum = next(l for l in first.splitlines() if l.startswith("checksum"))
     second_sum = next(l for l in second.splitlines() if l.startswith("checksum"))
     assert first_sum != second_sum
+
+
+@pytest.mark.parametrize("flag", [["--threads", "1"], ["--strict-determinism"]])
+def test_thread_flags_warn_when_numpy_is_loaded(flag, caplog, capsys):
+    # numpy is already imported here, so the flags cannot take effect
+    with caplog.at_level("WARNING", logger="gkw"):
+        assert cli.main([*flag, "gradcheck", "--arch", "cnn"]) == 0
+    capsys.readouterr()
+    assert any("cannot be pinned" in r.getMessage() for r in caplog.records)

@@ -177,3 +177,14 @@ def test_unsupported_version(tmp_path):
     path.write_bytes(b"GKWF" + struct.pack("<III", 9, 1, 1) + b"\x00" * 4)
     with pytest.raises(FormatError, match="version"):
         read_features(path)
+
+
+def test_header_claiming_more_than_the_file_holds(tmp_path):
+    import struct
+
+    # 96 bytes on disk, header claims (2^32 - 1) x 65535 floats (~1 PB)
+    path = tmp_path / "huge.feat"
+    path.write_bytes(b"GKWF" + struct.pack("<III", 1, 2**32 - 1, 65535) + b"\x00" * 80)
+    assert path.stat().st_size == 96
+    with pytest.raises(FormatError, match="truncated"):
+        read_features(path)

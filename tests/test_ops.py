@@ -8,6 +8,8 @@ from gkw import ops
 from gkw.errors import ConfigError, DataError, InvalidInputError
 from gkw.tensor import Tensor, parameter
 
+from oracles import oracle_conv1d
+
 
 def finite_diff(build, params, step=1e-5, tol=1e-6):
     """Compare analytic gradients of build() (a scalar) to central differences."""
@@ -32,20 +34,6 @@ def finite_diff(build, params, step=1e-5, tol=1e-6):
 
 
 # -- conv1d_valid ---------------------------------------------------------
-
-def conv_oracle(x, f, b):
-    T, D = x.shape
-    K, w, _ = f.shape
-    out = np.zeros((T - w + 1, K))
-    for t in range(T - w + 1):
-        for k in range(K):
-            acc = float(b[k])
-            for i in range(w):
-                for d in range(D):
-                    acc += x[t + i, d] * f[k, i, d]
-            out[t, k] = acc
-    return out
-
 
 def test_conv_identity_kernel():
     x = np.arange(14.0, dtype=np.float32).reshape(7, 2)
@@ -73,7 +61,8 @@ def test_conv_matches_triple_loop_oracle():
         f = rng.normal(size=(K, w, D))
         b = rng.normal(size=K)
         out = ops.conv1d_valid(Tensor(x, dtype=np.float64), f, b)
-        assert np.abs(out.data - conv_oracle(x, f, b)).max() < 1e-6
+        expected = oracle_conv1d(x[None], f, b, [T], np.zeros((1, T - w + 1, K)))[0][0]
+        assert np.abs(out.data - expected).max() < 1e-6
 
 
 def test_conv_too_short_names_minimum():
@@ -115,6 +104,56 @@ def test_conv_batched_matches_per_row():
         single = ops.conv1d_valid(Tensor(r, dtype=np.float64), f, b)
         assert np.allclose(out.data[i, : out_len[i]], single.data, atol=1e-12)
         assert np.all(out.data[i, out_len[i]:] == 0.0)
+
+
+def _conv_against_oracle(rng, lengths, T, D, K, width, dtype, lift=False):
+    """Largest error of conv1d_valid and its three gradients vs the oracle,
+    relative to the largest oracle magnitude of each."""
+    B = len(lengths)
+    x_data = rng.normal(size=(B, T, D))
+    for b, n in enumerate(lengths):
+        x_data[b, n:] = rng.normal(size=(T - n, D)) * 1e3  # padding must not leak
+    x = parameter(x_data[0] if lift else x_data, dtype=dtype)
+    f = parameter(rng.normal(size=(K, width, D)), dtype=dtype)
+    b_ = parameter(rng.normal(size=K), dtype=dtype)
+    probe = rng.normal(size=(B, T - width + 1, K))
+    out = ops.conv1d_valid(x, f, b_, lengths=None if lift else lengths)
+    (out * Tensor(probe[0] if lift else probe, dtype=dtype)).sum().backward()
+    expected = oracle_conv1d(x_data, f.data, b_.data, lengths, probe)
+    got = (out.data, f.grad, b_.grad, x.grad)
+    errors = []
+    for g, e in zip(got, expected):
+        e = e[0] if lift and g.ndim == 2 else e
+        assert g.dtype == dtype and g.shape == e.shape
+        errors.append(np.abs(g - e).max() / max(np.abs(e).max(), 1.0))
+    return max(errors)
+
+
+CONV_CASES = [
+    # lengths, T, D, K, width
+    ([9, 4, 7, 5], 9, 3, 4, 4),     # ragged
+    ([4, 9, 4], 9, 2, 3, 4),        # rows with lengths == width
+    ([5, 5, 5], 5, 3, 2, 5),        # T == width: one output frame per row
+    ([11], 11, 4, 3, 3),            # B = 1
+    ([6, 13], 13, 5, 6, 1),         # width 1
+    ([20, 17, 12, 20, 9], 20, 7, 8, 9),
+]
+
+
+CONV_TOLERANCES = [(np.float64, 1e-12), (np.float32, 1e-5)]
+
+
+@pytest.mark.parametrize("dtype, tol", CONV_TOLERANCES)
+@pytest.mark.parametrize("lengths, T, D, K, width", CONV_CASES)
+def test_conv_matches_per_utterance_oracle(lengths, T, D, K, width, dtype, tol):
+    rng = np.random.default_rng(T * 100 + width)
+    assert _conv_against_oracle(rng, lengths, T, D, K, width, dtype) <= tol
+
+
+@pytest.mark.parametrize("dtype, tol", CONV_TOLERANCES)
+def test_conv_lifted_2d_input_matches_oracle(dtype, tol):
+    rng = np.random.default_rng(15)
+    assert _conv_against_oracle(rng, [10], 10, 3, 4, 3, dtype, lift=True) <= tol
 
 
 def test_conv_padding_gets_no_gradient():

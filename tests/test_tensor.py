@@ -1,5 +1,8 @@
 """Autodiff core: graph mechanics, arithmetic gradients, validation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,30 @@ def test_visits_each_node_once():
     b = p * 4.0
     (a + b).backward()
     assert np.allclose(p.grad, [7.0])
+
+
+def test_swept_graph_is_freed_without_the_cycle_collector():
+    p = parameter(np.ones(3), dtype=np.float64)
+    hidden = p * 2.0
+    freed = weakref.ref(hidden.data)
+    loss = (hidden * hidden).sum()
+    gc.disable()
+    try:
+        loss.backward()
+        del hidden, loss
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert np.allclose(p.grad, [8.0, 8.0, 8.0])
+
+
+def test_second_backward_through_a_graph_is_refused():
+    p = parameter([2.0], dtype=np.float64)
+    loss = p * 3.0
+    loss.backward()
+    with pytest.raises(ValueError, match="already ran"):
+        loss.backward()
+    assert np.allclose(p.grad, [3.0])
 
 
 def test_no_grad_without_requires():
