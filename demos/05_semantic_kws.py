@@ -17,7 +17,7 @@ from gkw.evaluation import (
     keyword_spot,
     load_semantic_map,
 )
-from gkw.models import TrainConfig, psc, score_utterances, train
+from gkw.models import TrainConfig, forward_psc, psc, score_utterances, train
 from gkw.synth import SynthConfig, generate_corpus
 from gkw.targets import Vocabulary, load_vision_targets
 
@@ -54,12 +54,10 @@ print(f"{'average':>8}      {exact['average']['p_at_10']:.2f}        "
 
 # localization: where the top-scoring word peaks inside one utterance
 utt_id = test_ids[0]
-model.predict(features[utt_id])
-h, h_lengths = model.localization()
-scores = h[0, : h_lengths[0]]
+_, scores = forward_psc(model, features[utt_id])
 word = int(np.argmax(scores.max(axis=0)))
 frame = int(np.argmax(scores[:, word]))
 tokens = manifest.transcriptions("test")[utt_id]
 print(f"\n{utt_id}: \"{' '.join(tokens)}\"")
 print(f"strongest word {vocab.words[word]!r} peaks at output frame {frame} "
-      f"of {h_lengths[0]}")
+      f"of {len(scores)}")

@@ -16,6 +16,7 @@ up, the knobs are inert.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -29,15 +30,11 @@ log = logging.getLogger("gkw")
 
 _SUBCOMMANDS = ("generate", "features", "train", "score", "eval", "gradcheck")
 
-# flat option names accepted per config-file section
+# flat option names accepted per config-file section; "generate" also takes
+# the fields of SynthConfig and VisionChannelConfig (`_check_keys`)
 _SECTION_KEYS = {
-    "generate": {
-        "out", "vocab_size", "stop_word_count", "utterance_words",
-        "prototype_frames", "prototype_sigma", "prototype_ripple",
-        "frame_noise_sigma", "train_size", "dev_size", "test_size",
-        "zipf_exponent", "miss_rate", "false_alarm_rate", "concentration",
-        "confusion_map",
-    },
+    "common": {"seed", "threads", "strict_determinism", "precision"},
+    "generate": {"out"},
     "features": {"out"},
     "train": {
         "arch", "targets", "target_file", "out", "learning_rate",
@@ -48,10 +45,6 @@ _SECTION_KEYS = {
              "semantic_map", "confusion", "out"},
     "gradcheck": {"arch", "step", "corrupt"},
 }
-
-
-class _Args(argparse.Namespace):
-    pass
 
 
 def _positive_int(text):
@@ -145,19 +138,43 @@ def _load_config_file(path):
     if not isinstance(data, dict):
         raise ConfigError("config file must be a JSON object of sections")
     for section, values in data.items():
-        if section not in _SECTION_KEYS and section != "common":
+        if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        allowed = (
-            {"seed", "threads", "strict_determinism", "precision"}
-            if section == "common"
-            else _SECTION_KEYS[section]
-        )
+    return data
+
+
+def _config_fields(cls):
+    """Fields of a config dataclass that a config file may set: all but the
+    seed, which comes from --seed, and the nested channel config."""
+    return {f.name for f in dataclasses.fields(cls)} - {"seed", "channel"}
+
+
+def _check_keys(file_config):
+    """Refuse unknown keys. Imports the config dataclasses, and so numpy:
+    call it only once the thread count is pinned."""
+    from .synth import SynthConfig
+    from .targets import VisionChannelConfig
+
+    generate = _config_fields(SynthConfig) | _config_fields(VisionChannelConfig)
+    for section, values in file_config.items():
+        allowed = _SECTION_KEYS[section] | (generate if section == "generate" else set())
         for key in values:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-    return data
+
+
+def _given(args, *keys, **renamed):
+    """Keyword arguments for the options that are set, so that unset ones
+    take the defaults of the function or dataclass they are passed to.
+    `renamed` maps a parameter name to the option that sets it."""
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {
+        param: getattr(args, option)
+        for param, option in pairs
+        if getattr(args, option, None) is not None
+    }
 
 
 def _merge(args, file_config):
@@ -221,32 +238,20 @@ def cmd_generate(args):
     from .synth import SynthConfig, corpus_stats, generate_corpus
     from .targets import VisionChannelConfig
 
-    channel_kwargs = {}
-    for key in ("miss_rate", "false_alarm_rate", "concentration"):
-        if getattr(args, key, None) is not None:
-            channel_kwargs[key] = getattr(args, key)
-    confusion = getattr(args, "confusion_map", None)
-    if confusion is not None:
+    synth_kwargs = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in _given(args, "seed", *_config_fields(SynthConfig)).items()
+    }
+    channel_kwargs = _given(args, *_config_fields(VisionChannelConfig))
+    if "confusion_map" in channel_kwargs:
         channel_kwargs["confusion_map"] = {
             word: [(str(n), float(p)) for n, p in edges]
-            for word, edges in confusion.items()
+            for word, edges in channel_kwargs["confusion_map"].items()
         }
-    else:
-        channel_kwargs["confusion_map"] = SynthConfig().channel.confusion_map
-
-    synth_kwargs = {}
-    for key in ("vocab_size", "stop_word_count", "prototype_sigma",
-                "prototype_ripple", "frame_noise_sigma", "train_size",
-                "dev_size", "test_size", "zipf_exponent"):
-        if getattr(args, key, None) is not None:
-            synth_kwargs[key] = getattr(args, key)
-    for key in ("utterance_words", "prototype_frames"):
-        if getattr(args, key, None) is not None:
-            synth_kwargs[key] = tuple(getattr(args, key))
-    if args.seed is not None:
-        synth_kwargs["seed"] = args.seed
-
-    config = SynthConfig(channel=VisionChannelConfig(**channel_kwargs), **synth_kwargs)
+    config = SynthConfig(**synth_kwargs)
+    config = dataclasses.replace(
+        config, channel=dataclasses.replace(config.channel, **channel_kwargs)
+    )
     out_dir = Path(getattr(args, "out", None) or "corpus")
     manifest = generate_corpus(config, out_dir)
     stats = corpus_stats(manifest)
@@ -324,11 +329,7 @@ def cmd_train(args):
     features = manifest.load_features(train_ids + dev_ids)
 
     config = TrainConfig(
-        learning_rate=getattr(args, "learning_rate", None),
-        batch_size=getattr(args, "batch_size", None) or 32,
-        epochs=getattr(args, "epochs", None) or 60,
-        seed=args.seed if args.seed is not None else 0,
-        patience=getattr(args, "patience", None) or 5,
+        **_given(args, "learning_rate", "batch_size", "epochs", "seed", "patience")
     )
 
     out = Path(getattr(args, "out", None) or "model.gkwm")
@@ -369,26 +370,27 @@ def cmd_score(args):
     model, fingerprint, _ = load_checkpoint(
         args.checkpoint, vocab=vocab, dtype=as_dtype(args.precision or "f32")
     )
+    localize = getattr(args, "emit_localization", None)
+    if localize and model.spec.variant != PSC:
+        raise ConfigError("--emit-localization needs a psc checkpoint")
     split = getattr(args, "split", None) or "test"
     ids = manifest.ids(split)
     if not ids:
         raise DataError(f"manifest has no {split!r} utterances")
     features = manifest.load_features(ids)
-    scores = score_utterances(model, features, ids)
-    table = ScoreTable(ids, scores, vocab)
     out = Path(getattr(args, "out", None) or "scores.tsv")
-    table.save(out)
-    print(out)
-
-    if getattr(args, "emit_localization", None):
-        if model.spec.variant != PSC:
-            raise ConfigError("--emit-localization needs a psc checkpoint")
+    on_map = None
+    if localize:
         loc_dir = out.parent / (out.stem + ".localization")
         loc_dir.mkdir(parents=True, exist_ok=True)
-        for utt_id in ids:
-            model.predict(features[utt_id])
-            h, h_lengths = model.localization()
-            write_features(loc_dir / f"{utt_id}.gkwf", h[0, : h_lengths[0]])
+
+        def on_map(utt_id, h):
+            write_features(loc_dir / f"{utt_id}.gkwf", h)
+
+    scores = score_utterances(model, features, ids, on_map=on_map)
+    ScoreTable(ids, scores, vocab).save(out)
+    print(out)
+    if localize:
         print(loc_dir)
     return 0
 
@@ -447,11 +449,8 @@ def cmd_eval(args):
             rows = confusion_report(table, reference, min(alphas))
             report["confusion"] = [list(r) for r in rows[:50]]
     else:
-        count = getattr(args, "keywords", None) or 20
-        min_occ = getattr(args, "min_occurrences", None) or 5
         keywords = select_keywords(
-            reference, vocab, count=count, min_occurrences=min_occ,
-            seed=args.seed if args.seed is not None else 0,
+            reference, vocab, **_given(args, "min_occurrences", "seed", count="keywords")
         )
         semantic_map = None
         if mode == "semantic-kws":
@@ -476,13 +475,11 @@ def cmd_gradcheck(args):
 
     arch = getattr(args, "arch", None) or "both"
     variants = {"cnn": (CNN_POOL,), "psc": (PSC,), "both": (CNN_POOL, PSC)}[arch]
-    step = getattr(args, "step", None) or 1e-5
-    seed = args.seed if args.seed is not None else 0
     worst = 0.0
     failed = False
     for variant in variants:
         max_rel, name = gradient_check(
-            toy_spec(variant), seed=seed, step=step,
+            toy_spec(variant), **_given(args, "seed", "step"),
             corrupt=bool(getattr(args, "corrupt", None)),
         )
         status = "ok" if max_rel <= 1e-6 else "FAIL"
@@ -524,7 +521,7 @@ def main(argv=None):
     )
     parser = build_parser()
     try:
-        args = parser.parse_args(argv, namespace=_Args())
+        args = parser.parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage errors; usage errors are exit 1 here
         return 0 if err.code in (0, None) else 1
@@ -539,6 +536,7 @@ def main(argv=None):
             _pin_threads(1)
         elif getattr(args, "threads", None):
             _pin_threads(args.threads)
+        _check_keys(file_config)
         return _HANDLERS[args.command](args)
     except ConfigError as err:
         print(f"gkw: configuration error: {err}", file=sys.stderr)

@@ -41,12 +41,6 @@ class ScoreTable:
         if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
             raise DataError("scores must lie in [0, 1]")
 
-    def fingerprint(self):
-        return self.vocab.fingerprint()
-
-    def row(self, utt_id):
-        return self.scores[self.utt_ids.index(utt_id)]
-
     def save(self, path):
         def fmt(v):
             return np.format_float_positional(np.float32(v), unique=True)
@@ -199,8 +193,6 @@ def _eer(positives, negatives):
     if negatives.size == 0:
         return 0.0
     fa_prev, fr_prev = 0.0, 1.0
-    if fa_prev >= fr_prev:  # degenerate single-class corner, unreachable here
-        return fa_prev
     for tau in sorted(set(positives.tolist()) | set(negatives.tolist()), reverse=True):
         fa = float((negatives >= tau).sum()) / negatives.size
         fr = float((positives < tau).sum()) / positives.size
@@ -317,12 +309,6 @@ def confusion_report(table, reference, alpha):
         for ref_word, n in sorted(co[word].items(), key=lambda kv: (-kv[1], kv[0])):
             rows.append((word, ref_word, n))
     return rows
-
-
-def confusion_report_csv(rows):
-    lines = ["predicted,cooccurring,count"]
-    lines.extend(f"{w},{r},{n}" for w, r, n in rows)
-    return "\n".join(lines) + "\n"
 
 
 # -- semantic map ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DataError, FormatError, InvalidInputError, NumericError
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 _CKPT_MAGIC = b"GKWM"
 _CKPT_VERSION = 1
@@ -176,8 +176,6 @@ class SpeechModel:
         self.dtype = dtype
         self.params = {}
         self.last_time_extents = []
-        self._last_h = None
-        self._last_h_lengths = None
         rng = np.random.default_rng(seed)
         d = spec.input_dim
         conv_i = dense_i = 0
@@ -220,12 +218,18 @@ class SpeechModel:
     def parameters(self):
         return list(self.params.items())
 
-    def forward(self, features, lengths=None):
+    def forward(self, features, lengths=None, return_scores=False):
         """Features (B, T, D) with valid `lengths`, or a single (T, D) matrix.
 
-        Returns the (B, vocab_size) probability Tensor. For the psc variant
-        the pre-pooling score matrix is kept on the model (`localization`).
+        Returns the (B, vocab_size) probability Tensor. With `return_scores`
+        (psc only) returns (probs, h, h_lengths): h is the (B, T', W) score
+        Tensor that log-average-exp pooling reduces to the word scores, and
+        row b of h is valid for its first h_lengths[b] frames.
         """
+        if return_scores and self.spec.variant != PSC:
+            raise ConfigError(
+                f"model variant is {self.spec.variant!r}; only psc has a score map"
+            )
         x = np.asarray(features, dtype=self.dtype)
         if x.ndim == 2:
             x = x[None]
@@ -252,8 +256,6 @@ class SpeechModel:
         t = Tensor(x)
         lens = lengths
         extents = []
-        self._last_h = None
-        self._last_h_lengths = None
         conv_i = dense_i = 0
         for layer in self.spec.layers:
             if layer[0] == "conv":
@@ -277,8 +279,7 @@ class SpeechModel:
                 t = ops.max_over_time(t, lengths=lens)
                 lens = None
             elif layer[0] == "lse":
-                self._last_h = t
-                self._last_h_lengths = lens.copy()
+                h, h_lengths = t, lens
                 t = ops.logsumexp_pool(t, layer[1], lengths=lens)
                 lens = None
             elif layer[0] == "dense":
@@ -293,17 +294,12 @@ class SpeechModel:
             elif layer[0] == "sigmoid":
                 t = ops.sigmoid(t)
         self.last_time_extents = extents
-        return t
+        return (t, h, h_lengths) if return_scores else t
 
     def predict(self, features):
         """Single utterance (T, D) -> (vocab_size,) probabilities."""
-        return self.forward(features).data[0].copy()
-
-    def localization(self):
-        """Per-position word scores from the last psc forward: (h, lengths)."""
-        if self._last_h is None:
-            raise ConfigError("no localization available; run a psc forward first")
-        return self._last_h.data, self._last_h_lengths
+        with no_grad():
+            return self.forward(features).data[0].copy()
 
     def state(self):
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -328,11 +324,9 @@ def forward_cnn(model, features):
 
 def forward_psc(model, features):
     """Single-utterance psc forward: ((W,) probs, (T', W) localization)."""
-    if model.spec.variant != PSC:
-        raise ConfigError(f"model variant is {model.spec.variant!r}, not psc")
-    probs = model.predict(features)
-    h, h_lens = model.localization()
-    return probs, h[0, : h_lens[0]].copy()
+    with no_grad():
+        probs, h, h_lengths = model.forward(features, return_scores=True)
+    return probs.data[0].copy(), h.data[0, : h_lengths[0]].copy()
 
 
 # -- loss ----------------------------------------------------------------------
@@ -399,12 +393,13 @@ def _pad_batch(feature_map, ids, dtype):
 
 def _epoch_loss(model, feature_map, target_map, ids, batch_size):
     total = 0.0
-    for start in range(0, len(ids), batch_size):
-        chunk = ids[start : start + batch_size]
-        batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
-        targets = np.stack([target_map[i] for i in chunk])
-        loss = bow_loss(model.forward(batch, lengths), targets)
-        total += loss.data.item() * len(chunk)
+    with no_grad():
+        for start in range(0, len(ids), batch_size):
+            chunk = ids[start : start + batch_size]
+            batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
+            targets = np.stack([target_map[i] for i in chunk])
+            loss = bow_loss(model.forward(batch, lengths), targets)
+            total += loss.data.item() * len(chunk)
     return total / len(ids)
 
 
@@ -502,14 +497,25 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
     return model, metadata
 
 
-def score_utterances(model, feature_map, ids, batch_size=32):
-    """Forward a list of utterances; returns an (N, vocab_size) matrix."""
+def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
+    """Forward a list of utterances; returns an (N, vocab_size) matrix.
+
+    With `on_map` (psc only), each utterance's (T', W) score map from the
+    same batched pass is handed over as on_map(utt_id, h): a view into the
+    batch, valid only during the call.
+    """
     out = np.zeros((len(ids), model.spec.vocab_size), dtype=np.float32)
-    for start in range(0, len(ids), batch_size):
-        chunk = list(ids[start : start + batch_size])
-        batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
-        probs = model.forward(batch, lengths)
-        out[start : start + len(chunk)] = probs.data.astype(np.float32)
+    with no_grad():
+        for start in range(0, len(ids), batch_size):
+            chunk = list(ids[start : start + batch_size])
+            batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
+            if on_map is None:
+                probs = model.forward(batch, lengths)
+            else:
+                probs, h, h_lengths = model.forward(batch, lengths, return_scores=True)
+                for row, utt_id in enumerate(chunk):
+                    on_map(utt_id, h.data[row, : h_lengths[row]])
+            out[start : start + len(chunk)] = probs.data.astype(np.float32)
     return out
 
 
@@ -616,6 +622,8 @@ def gradient_check(spec, seed=0, step=1e-5, frames=None, corrupt=False):
     deliberately scales one analytic gradient, a negative control proving
     the check can fail.
     """
+    if not step > 0:
+        raise ConfigError(f"finite-difference step must be > 0, got {step}")
     rng = np.random.default_rng(seed)
     model = SpeechModel(spec, seed=seed + 1, dtype=np.float64)
     T = frames if frames is not None else spec.min_frames + 6
@@ -623,7 +631,8 @@ def gradient_check(spec, seed=0, step=1e-5, frames=None, corrupt=False):
     y = (rng.uniform(size=spec.vocab_size) < 0.5).astype(np.float64)[None, :]
 
     def loss_value():
-        return bow_loss(model.forward(x), y).data.item()
+        with no_grad():
+            return bow_loss(model.forward(x), y).data.item()
 
     loss = bow_loss(model.forward(x), y)
     loss.backward()

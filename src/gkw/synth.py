@@ -14,8 +14,9 @@ vocabulary construction has something to filter.
 
 import itertools
 import json
+import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ def default_confusion_map(content_words):
     return pairs
 
 
-def default_channel(vocab_size=20):
+def default_channel(vocab_size):
     return VisionChannelConfig(
         confusion_map=default_confusion_map(content_forms(vocab_size))
     )
@@ -89,7 +90,11 @@ class SynthConfig:
     test_size: int = 200
     zipf_exponent: float = 1.0
     seed: int = 17
-    channel: VisionChannelConfig = field(default_factory=default_channel)
+    channel: VisionChannelConfig = None  # None -> default_channel(vocab_size)
+
+    def __post_init__(self):
+        if self.channel is None:
+            object.__setattr__(self, "channel", default_channel(self.vocab_size))
 
     def validate(self):
         for name in ("vocab_size", "train_size", "dev_size", "test_size"):
@@ -116,6 +121,18 @@ class SynthConfig:
     @property
     def total_size(self):
         return self.train_size + self.dev_size + self.test_size
+
+
+def _corpus_path(value, where, key):
+    """A manifest path must stay under the manifest's directory. Checked
+    lexically: no absolute path and no climbing out through `..`."""
+    norm = os.path.normpath(value) if isinstance(value, str) and value else None
+    if norm is None or os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir:
+        raise DataError(
+            f"{where}: {key} must be a relative path inside the corpus directory, "
+            f"got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -194,6 +211,8 @@ class CorpusManifest:
                     if key not in obj:
                         raise DataError(f"{path}:{lineno}: missing field {key!r}")
                 utt_id = obj["id"]
+                if not isinstance(utt_id, str) or not utt_id:
+                    raise DataError(f"{path}:{lineno}: 'id' must be a non-empty string")
                 if utt_id in seen:
                     raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
                 seen.add(utt_id)
@@ -206,13 +225,16 @@ class CorpusManifest:
                     raise DataError(
                         f"{path}:{lineno}: transcription must be a list of words"
                     )
+                where = f"{path}:{lineno}"
+                targets = obj.get("vision_targets")
                 records.append(
                     UtteranceRecord(
                         utt_id=utt_id,
                         split=obj["split"],
-                        features=obj["features"],
+                        features=_corpus_path(obj["features"], where, "features"),
                         transcription=tuple(tokens),
-                        vision_targets=obj.get("vision_targets"),
+                        vision_targets=None if targets is None
+                        else _corpus_path(targets, where, "vision_targets"),
                     )
                 )
         return cls(records=records, root=path.parent)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -24,28 +23,6 @@ MU_HI = 0.85
 MU_LO = 0.03
 MU_FA = 0.55
 MU_LEAK = 0.65
-
-
-def tokenize(text):
-    return text.lower().split()
-
-
-def load_stop_words(path):
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.add(word)
-    return frozenset(words)
-
-
-def default_stop_words():
-    text = resources.files("gkw").joinpath("data/stopwords_en.txt").read_text("utf-8")
-    return frozenset(
-        w for w in (line.strip().lower() for line in text.splitlines())
-        if w and not w.startswith("#")
-    )
 
 
 class Vocabulary:

@@ -11,11 +11,28 @@ hard error naming the op that produced it.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import NumericError
 
 FLOAT_DTYPES = (np.float32, np.float64)
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only block: a Tensor derived inside it neither requires a
+    gradient nor refers to its inputs, so no op builds a backward closure
+    and each intermediate array is freed as soon as nothing uses it."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def as_dtype(precision):
@@ -42,6 +59,8 @@ class Tensor:
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         _check_finite(arr, _op)
+        if not _grad_enabled:
+            _parents = ()
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
@@ -86,7 +105,9 @@ class Tensor:
             raise ValueError(
                 f"backward() needs a scalar seed, got shape {self.data.shape}"
             )
-        if self._parents and self.requires_grad and self._backward is None:
+        if not self.requires_grad:
+            raise ValueError("backward() needs a result that requires a gradient")
+        if self._parents and self._backward is None:
             raise ValueError("backward() already ran through this graph")
         topo = []
         visited = {id(self)}

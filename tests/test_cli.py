@@ -10,6 +10,14 @@ import pytest
 from gkw import cli
 from gkw.evaluation import ScoreTable
 from gkw.features import read_features, write_features
+from gkw.models import (
+    ArchitectureSpec,
+    SpeechModel,
+    forward_psc,
+    load_checkpoint,
+    save_checkpoint,
+)
+from gkw.synth import CorpusManifest, content_forms
 from gkw.targets import Vocabulary
 
 
@@ -80,6 +88,38 @@ def test_generate_bad_config_key_names_it(tmp_path, capsys):
     assert "vocab_sizx" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["miss_rat", "seed", "channel"])
+def test_generate_refuses_keys_outside_the_config_fields(tmp_path, capsys, key):
+    config = write_config(tmp_path, generate={key: 0.1})
+    assert cli.main(["--config", str(config), "generate"]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_generate_accepts_every_config_field(tmp_path, capsys):
+    # with write_config's keys, every SynthConfig and VisionChannelConfig
+    # field but the seed and the channel
+    config = write_config(tmp_path, generate={
+        "prototype_sigma": 1.0, "prototype_ripple": 0.25, "frame_noise_sigma": 0.05,
+        "zipf_exponent": 1.0, "miss_rate": 0.1, "false_alarm_rate": 0.05,
+        "concentration": 50.0,
+    })
+    assert cli.main(["--config", str(config), "generate"]) == 0
+    capsys.readouterr()
+
+
+def test_generate_default_confusion_follows_vocab_size(tmp_path, capsys):
+    config = write_config(tmp_path, generate={"vocab_size": 10})
+    doc = json.loads(config.read_text())
+    del doc["generate"]["confusion_map"]
+    config.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(config), "generate"]) == 0
+    capsys.readouterr()
+    semantic_map = json.loads((tmp_path / "corpus" / "semantic_map.json").read_text())
+    tail = content_forms(10)[-6:]
+    for a, b in zip(tail[0::2], tail[1::2]):
+        assert semantic_map[a] == semantic_map[b] == sorted([a, b])
+
+
 def test_unknown_section_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"generte": {}}))
@@ -145,11 +185,47 @@ def test_emit_localization_psc(pipeline, tmp_path):
                      str(src_path / "model.gkwm"), str(manifest),
                      "--out", str(out), "--emit-localization"]) == 0
     loc_dir = tmp_path / "loc_scores.localization"
-    files = sorted(loc_dir.glob("*.gkwf"))
-    assert len(files) == 10
-    mat = read_features(files[0])
+    assert len(list(loc_dir.glob("*.gkwf"))) == 10
     vocab = Vocabulary.load(src_path / "corpus" / "vocabulary.txt")
-    assert mat.shape[1] == len(vocab)
+    model, _, _ = load_checkpoint(src_path / "model.gkwm", vocab=vocab)
+    r = model.spec.r
+    trim = sum(layer[1] - 1 for layer in model.spec.layers if layer[0] == "conv")
+    table = ScoreTable.load(out, vocab=vocab)
+    features = CorpusManifest.load(manifest).load_features(table.utt_ids)
+    for utt_id, row in zip(table.utt_ids, table.scores):
+        h = read_features(loc_dir / f"{utt_id}.gkwf")
+        assert h.shape == (len(features[utt_id]) - trim, len(vocab))
+        h64 = h.astype(np.float64)
+        top = h64.max(axis=0)
+        pooled = top + np.log(np.exp(r * (h64 - top)).mean(axis=0)) / r
+        assert np.abs(1.0 / (1.0 + np.exp(-pooled)) - row).max() <= 1e-5
+        _, alone = forward_psc(model, features[utt_id])
+        assert np.abs(h - alone).max() <= 1e-5
+
+
+def test_emit_localization_needs_psc_and_writes_nothing(pipeline, tmp_path, capsys):
+    src_path, config, manifest = pipeline
+    vocab = Vocabulary.load(src_path / "corpus" / "vocabulary.txt")
+    spec = ArchitectureSpec("cnn-pool", len(vocab), 39, (
+        ("conv", 3, 4, "relu"), ("maxtime",), ("dense", len(vocab), "sigmoid")))
+    checkpoint = tmp_path / "cnn.gkwm"
+    save_checkpoint(checkpoint, SpeechModel(spec), vocab.fingerprint(), {})
+    code = cli.main(["score", str(checkpoint), str(manifest),
+                     "--out", str(tmp_path / "cnn.tsv"), "--emit-localization"])
+    assert code == 1
+    assert "psc checkpoint" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [checkpoint]
+
+
+@pytest.mark.parametrize("features", [5, "../elsewhere/x.gkwf"])
+def test_score_bad_manifest_entry_is_data_error(pipeline, tmp_path, capsys, features):
+    src_path, config, manifest = pipeline
+    record = json.loads(manifest.read_text().splitlines()[-1])
+    record["features"] = features
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    assert cli.main(["score", str(src_path / "model.gkwm"), str(bad)]) == 2
+    assert "features" in capsys.readouterr().err
 
 
 def test_eval_bow_report(pipeline, tmp_path, capsys):
@@ -259,6 +335,11 @@ def test_gradcheck_both_pass(capsys):
     assert cli.main(["gradcheck", "--arch", "both"]) == 0
     out = capsys.readouterr().out
     assert "cnn-pool" in out and "psc" in out and "FAIL" not in out
+
+
+def test_gradcheck_zero_step_is_config_error(capsys):
+    assert cli.main(["gradcheck", "--arch", "psc", "--step", "0"]) == 1
+    assert "step" in capsys.readouterr().err
 
 
 def test_gradcheck_corrupted_fails(capsys):

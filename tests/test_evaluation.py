@@ -11,7 +11,6 @@ from gkw.evaluation import (
     bow_predict,
     build_reference,
     confusion_report,
-    confusion_report_csv,
     keyword_spot,
     load_semantic_map,
     save_semantic_map,
@@ -311,9 +310,6 @@ def test_confusion_report_pinned_example():
     ref = {"u0": frozenset({"snowy", "hill"})}
     rows = confusion_report(table, ref, 0.5)
     assert rows == [("snow", "hill", 1), ("snow", "snowy", 1)]
-    csv = confusion_report_csv(rows)
-    assert csv.splitlines()[0] == "predicted,cooccurring,count"
-    assert "snow,hill,1" in csv
 
 
 # -- score table files --------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Architectures, loss, training loop, checkpoints, gradient harness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from gkw.models import (
     train,
 )
 from gkw.targets import Vocabulary
-from gkw.tensor import Tensor
+from gkw.tensor import Tensor, no_grad
 
 
 def toy_corpus(rng, spec, n=20, vocab_size=5):
@@ -146,6 +149,41 @@ def test_variant_dispatch_guards():
         forward_psc(cnn_model, x)
     with pytest.raises(ConfigError):
         forward_cnn(psc_model, x)
+
+
+def test_return_scores_needs_psc():
+    model = SpeechModel(toy_spec("cnn-pool"), seed=0)
+    with pytest.raises(ConfigError, match="psc"):
+        model.forward(np.zeros((130, 8), dtype=np.float32), return_scores=True)
+
+
+def _live_tensors():
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_no_grad_forward_frees_its_graph_at_once(variant):
+    model = SpeechModel(toy_spec(variant, vocab_size=4), seed=4)
+    x = np.random.default_rng(23).normal(size=(2, 140, 8))
+    lengths = [140, 131]
+    targets = np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.float32)
+    expected = model.forward(x, lengths).data.copy()
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_tensors()
+        with no_grad():
+            probs = model.forward(x, lengths)
+            loss = bow_loss(probs, targets)
+        assert np.array_equal(probs.data, expected)
+        with pytest.raises(ValueError, match="requires a gradient"):
+            loss.backward()
+        freed = weakref.ref(probs.data)
+        del probs, loss
+        assert freed() is None
+        assert _live_tensors() == before
+    finally:
+        gc.enable()
 
 
 def test_spec_validation():
@@ -384,6 +422,11 @@ def test_gradient_check_passes_both_variants():
     for variant in ("cnn-pool", "psc"):
         err, worst = gradient_check(toy_spec(variant), seed=0)
         assert err <= 1e-6, f"{variant}: {err} at {worst}"
+
+
+def test_gradient_check_refuses_zero_step():
+    with pytest.raises(ConfigError, match="step"):
+        gradient_check(toy_spec("psc"), step=0.0)
 
 
 def test_gradient_check_negative_control():

@@ -180,6 +180,41 @@ def test_manifest_load_errors(tmp_path):
         CorpusManifest.load(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("id", 5),
+    ("id", ""),
+    ("features", 5),
+    ("features", ""),
+    ("vision_targets", ["t.tsv"]),
+    ("features", "../other/x.gkwf"),
+    ("features", "features/../../x.gkwf"),
+    ("features", "/tmp/x.gkwf"),
+    ("vision_targets", "../t.tsv"),
+])
+def test_manifest_rejects_bad_ids_and_paths(tmp_path, key, value):
+    obj = {"id": "u0", "split": "train", "features": "f.gkwf", "transcription": ["a"]}
+    obj[key] = value
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(DataError, match=key):
+        CorpusManifest.load(path)
+
+
+def test_manifest_accepts_paths_that_stay_inside(tmp_path):
+    obj = {"id": "u0", "split": "train", "features": "sub/../features/./f.gkwf",
+           "transcription": ["a"], "vision_targets": "t.tsv"}
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    record = CorpusManifest.load(path).records[0]
+    assert record.features == "sub/../features/./f.gkwf"
+    assert record.vision_targets == "t.tsv"
+
+
+def test_default_channel_follows_vocab_size():
+    assert SynthConfig().channel == default_channel(20)
+    assert SynthConfig(vocab_size=10).channel == default_channel(10)
+
+
 def test_semantic_map_mirrors_confusion(tmp_path):
     cfg = toy_config(channel=default_channel(10), vocab_size=10)
     generate_corpus(cfg, tmp_path)

@@ -10,23 +10,21 @@ from gkw.targets import (
     VisionChannelConfig,
     Vocabulary,
     build_vocabulary,
-    default_stop_words,
     load_vision_targets,
     oracle_bow,
     simulate_vision_channel,
-    tokenize,
     write_vision_targets,
 )
 
 
 def test_build_vocabulary_tie_break():
-    corpus = [tokenize("a dog runs"), tokenize("a dog sleeps")]
+    corpus = ["a dog runs".split(), "a dog sleeps".split()]
     vocab = build_vocabulary(corpus, stop_words={"a"}, size=2)
     assert vocab.words == ["dog", "runs"]
 
 
 def test_build_vocabulary_underflow():
-    corpus = [tokenize("red green blue")]
+    corpus = ["red green blue".split()]
     vocab = build_vocabulary(corpus, size=1000)
     assert len(vocab) == 3
 
@@ -64,7 +62,7 @@ def test_vocabulary_order_matches_count_pass():
 
 
 def test_vocabulary_rebuild_is_identical():
-    corpus = [tokenize("green red red blue blue blue")]
+    corpus = ["green red red blue blue blue".split()]
     assert build_vocabulary(corpus, size=3) == build_vocabulary(corpus, size=3)
 
 
@@ -97,22 +95,16 @@ def test_empty_vocabulary_file(tmp_path):
         Vocabulary.load(path)
 
 
-def test_default_stop_words():
-    stops = default_stop_words()
-    assert {"the", "a", "of", "and"} <= stops
-    assert len(stops) >= 100
-
-
 # -- oracle_bow -------------------------------------------------------------
 
 def test_oracle_bow_discards_multiplicity():
     vocab = Vocabulary(["dog", "runs", "cat"])
-    assert np.array_equal(oracle_bow(tokenize("dog dog runs"), vocab), [1, 1, 0])
+    assert np.array_equal(oracle_bow("dog dog runs".split(), vocab), [1, 1, 0])
 
 
 def test_oracle_bow_all_oov():
     vocab = Vocabulary(["dog"])
-    assert np.array_equal(oracle_bow(tokenize("cat sat here"), vocab), [0])
+    assert np.array_equal(oracle_bow("cat sat here".split(), vocab), [0])
 
 
 def test_oracle_bow_matches_set_membership():
@@ -150,8 +142,8 @@ def test_vision_targets_binary_file_equals_oracle(tmp_path):
     path = tmp_path / "targets.tsv"
     path.write_text("u1\tdog:1 runs:1\nu2\tcat:1\nu3\t\n")
     loaded = load_vision_targets(path, vocab)
-    assert np.array_equal(loaded["u1"], oracle_bow(tokenize("dog runs"), vocab))
-    assert np.array_equal(loaded["u2"], oracle_bow(tokenize("cat"), vocab))
+    assert np.array_equal(loaded["u1"], oracle_bow("dog runs".split(), vocab))
+    assert np.array_equal(loaded["u2"], oracle_bow("cat".split(), vocab))
     assert np.array_equal(loaded["u3"], np.zeros(3))
 
 
