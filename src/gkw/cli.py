@@ -151,17 +151,92 @@ def _config_fields(cls):
     return {f.name for f in dataclasses.fields(cls)} - {"seed", "channel"}
 
 
+def _bad_value(section, key, value, expected):
+    return ConfigError(
+        f"config key {key!r} in section {section!r} must be {expected}, got {value!r}"
+    )
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_options(parser, file_config):
+    """Refuse a config value that its command-line option would refuse: a
+    JSON value of the wrong type, a count below 1, or a value outside the
+    option's choices."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for section, values in file_config.items():
+        source = parser if section == "common" else subparsers.choices[section]
+        actions = {a.dest: a for a in source._actions}
+        for key, value in values.items():
+            action = actions.get(key) if key in _SECTION_KEYS[section] else None
+            if action is None:
+                continue  # a dataclass field or an unknown key: `_check_keys`
+            if action.nargs == 0:
+                expected, ok = "true or false", lambda v: isinstance(v, bool)
+            elif action.choices is not None:
+                expected, ok = f"one of {list(action.choices)}", action.choices.__contains__
+            elif action.type is _positive_int:
+                expected, ok = "an integer >= 1", lambda v: _is_int(v) and v >= 1
+            elif action.type is int:
+                expected, ok = "an integer", _is_int
+            elif action.type is float:
+                expected, ok = "a number", _is_number
+            else:
+                expected, ok = "a string", lambda v: isinstance(v, str)
+            if isinstance(action, argparse._AppendAction):
+                expected = f"a list, each item {expected}"
+                ok = lambda v, item_ok=ok: isinstance(v, list) and all(map(item_ok, v))
+            if not ok(value):
+                raise _bad_value(section, key, value, expected)
+
+
+def _field_check(default):
+    """(description, predicate) for a config-file value of a config
+    dataclass field, by the type of the field's default."""
+    if isinstance(default, int):
+        return "an integer", _is_int
+    if isinstance(default, float):
+        return "a number", _is_number
+    if isinstance(default, tuple):  # an inclusive (lo, hi) range
+        return "a list of 2 integers", lambda v: (
+            isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)))
+    return "an object of word: [[word, probability], ...]", lambda v: (
+        isinstance(v, dict) and all(
+            isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2
+                and isinstance(e[0], str) and _is_number(e[1])
+                for e in edges)
+            for edges in v.values()))
+
+
 def _check_keys(file_config):
-    """Refuse unknown keys. Imports the config dataclasses, and so numpy:
-    call it only once the thread count is pinned."""
+    """Refuse unknown keys, and `generate` values whose type does not fit
+    their config dataclass field. Imports the config dataclasses, and so
+    numpy: call it only once the thread count is pinned."""
     from .synth import SynthConfig
     from .targets import VisionChannelConfig
 
-    generate = _config_fields(SynthConfig) | _config_fields(VisionChannelConfig)
+    generate = {
+        f.name: _field_check(
+            f.default if f.default is not dataclasses.MISSING else f.default_factory())
+        for cls in (SynthConfig, VisionChannelConfig)
+        for f in dataclasses.fields(cls)
+        if f.name in _config_fields(cls)
+    }
     for section, values in file_config.items():
-        allowed = _SECTION_KEYS[section] | (generate if section == "generate" else set())
-        for key in values:
-            if key not in allowed:
+        fields = generate if section == "generate" else {}
+        for key, value in values.items():
+            if key in fields:
+                expected, ok = fields[key]
+                if not ok(value):
+                    raise _bad_value(section, key, value, expected)
+            elif key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in config section {section!r}")
 
 
@@ -531,6 +606,7 @@ def main(argv=None):
 
     try:
         file_config = _load_config_file(args.config) if args.config else {}
+        _check_options(parser, file_config)
         args = _merge(args, file_config)
         if args.strict_determinism:
             _pin_threads(1)

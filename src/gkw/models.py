@@ -14,6 +14,7 @@ against soft or binary targets with a summed binary cross-entropy.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -33,6 +34,37 @@ LOSS_CLAMP = 1e-7
 
 
 # -- architecture description ------------------------------------------------
+
+def _size(arg):
+    return isinstance(arg, int) and arg >= 1
+
+
+def _activation(arg):
+    return arg in ("relu", "none", "sigmoid")
+
+
+def _number(arg):
+    return isinstance(arg, (int, float))
+
+
+# layer kind -> a check for each of its arguments
+_LAYER_ARGS = {
+    "conv": (_size, _size, _activation),  # width, filters
+    "pool": (_size,),
+    "maxtime": (),
+    "lse": (_number,),
+    "dense": (_size, _activation),
+    "sigmoid": (),
+}
+
+
+def _check_layer(layer):
+    checks = _LAYER_ARGS.get(layer[0]) if layer else None
+    if checks is None or len(layer) != 1 + len(checks) or not all(
+        check(arg) for check, arg in zip(checks, layer[1:])
+    ):
+        raise ConfigError(f"malformed layer {layer!r}")
+
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -56,16 +88,19 @@ class ArchitectureSpec:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.vocab_size < 1 or self.input_dim < 1:
             raise ConfigError("vocab_size and input_dim must be >= 1")
+        for layer in self.layers:
+            _check_layer(layer)
         convs = [l for l in self.layers if l[0] == "conv"]
         if self.variant == PSC:
+            if not convs or self.r is None:
+                raise ConfigError("psc needs a convolution and a log-average-exp layer")
             if convs[-1][2] != self.vocab_size:
                 raise ConfigError(
                     f"psc final convolution must have vocab_size={self.vocab_size} "
                     f"filters, got {convs[-1][2]}"
                 )
-            r = next(l[1] for l in self.layers if l[0] == "lse")
-            if not r > 0:
-                raise ConfigError(f"pooling sharpness r must be > 0, got {r}")
+            if not self.r > 0:
+                raise ConfigError(f"pooling sharpness r must be > 0, got {self.r}")
         else:
             last = self.layers[-1]
             if last[0] != "dense" or last[1] != self.vocab_size:
@@ -544,6 +579,8 @@ def save_checkpoint(path, model, vocab_fingerprint, metadata):
 
 
 def _read_exact(fh, n, path, what):
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():  # no read of a corrupt size
+        raise FormatError(f"{path}: truncated checkpoint while reading {what}")
     blob = fh.read(n)
     if len(blob) != n:
         raise FormatError(f"{path}: truncated checkpoint while reading {what}")
@@ -574,8 +611,10 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         try:
             metadata = json.loads(_read_exact(fh, meta_len, path, "metadata"))
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # undecodable UTF-8 or JSON
             raise FormatError(f"{path}: bad metadata block: {err}") from None
+        if not isinstance(metadata, dict):
+            raise FormatError(f"{path}: metadata block is not a JSON object")
 
         if variant is not None and spec.variant != variant:
             raise DataError(

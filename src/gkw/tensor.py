@@ -85,8 +85,10 @@ class Tensor:
                 f"gradient shape {g.shape} != value shape {self.data.shape} at op '{self.op}'"
             )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never `g` itself: one array may be handed to two parents
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -100,6 +102,8 @@ class Tensor:
         a graph can be swept only once: the closure refers to its own output
         tensor, and that cycle would keep the whole graph, activations and
         gradients, alive until Python's cycle collector happens to run.
+        A derived node's gradient is dropped too once its closure has pushed
+        it to the inputs; only leaves (parameters, inputs) keep theirs.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -129,6 +133,7 @@ class Tensor:
             backward, node._backward = node._backward, None
             if backward is not None:
                 backward()
+                node.grad = None
 
     # -- small arithmetic closure, enough for losses and tests ------------
 

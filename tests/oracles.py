@@ -133,3 +133,61 @@ def oracle_conv1d(x, filters, bias, lengths, grad_out):
                 d_filters[:, i, :] += np.outer(g, utt[t + i])
                 d_x[b, t + i] += g @ filters[:, i, :]
     return out, d_filters, d_bias, d_x
+
+
+def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
+    """The conv1d_valid backward that builds the window matrix d-major.
+
+    Masks with `np.where`, takes the filter gradient with `np.tensordot`
+    over a sliding-window view and transposes it to (K, width, D), and runs
+    the input gradient one GEMM per tap over the flattened batch. The fast
+    path must match it bitwise (up to the sign of zeros). Returns
+    (d_bias, d_filters, d_x) in `dtype`.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    x = np.asarray(x, dtype=dtype)
+    filters = np.asarray(filters, dtype=dtype)
+    grad_out = np.asarray(grad_out, dtype=dtype)
+    B, T, D = x.shape
+    K, width, _ = filters.shape
+    T_out = T - width + 1
+    n = B * T - width + 1
+    out_len = np.asarray(lengths) - width + 1
+    row_valid = np.arange(T_out)[None, :] < out_len[:, None]
+    g = np.where(row_valid[:, :, None], grad_out, 0.0)
+    d_bias = g.sum(axis=(0, 1))
+    win = sliding_window_view(x, width, axis=1)
+    gf = np.tensordot(g, win, axes=([0, 1], [0, 1]))
+    d_filters = np.ascontiguousarray(gf.transpose(0, 2, 1))
+    g_flat = np.zeros((B * T, K), dtype=dtype)
+    g_flat.reshape(B, T, K)[:, :T_out] = g
+    d_x = np.zeros((B * T, D), dtype=dtype)
+    for i in range(width):
+        d_x[i:i + n] += g_flat[:n] @ filters[:, i, :]
+    return d_bias, d_filters, d_x.reshape(B, T, D)
+
+
+def corrupted_copies(blob, cases, seed, header_len, size_offsets):
+    """Seeded damaged copies of a well-formed file, for fuzzing a reader.
+
+    Cycles through three kinds of damage and yields (kind, bytes):
+    "truncate" cuts the file at a random length; "flip" flips one bit,
+    half of the time inside the first `header_len` bytes, where a flip
+    changes structure rather than a stored value; "oversize" overwrites the
+    little-endian uint32 size field at one of `size_offsets` with a size
+    larger than the whole file.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        data = bytearray(blob)
+        kind = ("truncate", "flip", "oversize")[case % 3]
+        if kind == "truncate":
+            data = data[: int(rng.integers(0, len(data)))]
+        elif kind == "flip":
+            end = header_len if rng.uniform() < 0.5 else len(data)
+            data[int(rng.integers(0, end))] ^= 1 << int(rng.integers(0, 8))
+        else:
+            at = int(rng.choice(size_offsets))
+            data[at:at + 4] = int(rng.integers(len(data), 2**32)).to_bytes(4, "little")
+        yield kind, bytes(data)

@@ -120,6 +120,43 @@ def test_generate_default_confusion_follows_vocab_size(tmp_path, capsys):
         assert semantic_map[a] == semantic_map[b] == sorted([a, b])
 
 
+@pytest.mark.parametrize("section, values", [
+    ("generate", {"confusion_map": 5}),
+    ("generate", {"confusion_map": {"a": 5}}),
+    ("generate", {"confusion_map": {"a": [["b", "high"]]}}),
+    ("generate", {"vocab_size": "ten"}),
+    ("generate", {"utterance_words": 3}),
+    ("generate", {"utterance_words": [3, 4, 5]}),
+    ("generate", {"train_size": 2.5}),
+    ("generate", {"miss_rate": "x"}),
+    ("generate", {"out": 5}),
+    ("common", {"seed": "x"}),
+    ("common", {"threads": 0}),
+    ("common", {"precision": "f16"}),
+    ("common", {"strict_determinism": 1}),
+])
+def test_generate_wrong_config_value_type_is_config_error(tmp_path, capsys, section, values):
+    config = write_config(tmp_path, **{section: values})
+    assert cli.main(["--config", str(config), "generate"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(next(iter(values))) in err
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("section, values", [
+    ("train", {"batch_size": "32"}),
+    ("train", {"epochs": 0}),
+    ("train", {"arch": "rnn"}),
+    ("eval", {"alpha": 0.5}),
+    ("eval", {"alpha": [0.5, "x"]}),
+    ("score", {"emit_localization": "yes"}),
+])
+def test_wrong_config_value_type_fails_before_any_work(tmp_path, capsys, section, values):
+    config = write_config(tmp_path, **{section: values})
+    assert cli.main(["--config", str(config), "generate"]) == 1
+    assert repr(next(iter(values))) in capsys.readouterr().err
+
+
 def test_unknown_section_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"generte": {}}))

@@ -1,6 +1,7 @@
 """Architectures, loss, training loop, checkpoints, gradient harness."""
 
 import gc
+import struct
 import weakref
 
 import numpy as np
@@ -25,6 +26,8 @@ from gkw.models import (
 )
 from gkw.targets import Vocabulary
 from gkw.tensor import Tensor, no_grad
+
+from oracles import corrupted_copies
 
 
 def toy_corpus(rng, spec, n=20, vocab_size=5):
@@ -414,6 +417,66 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         load_checkpoint(path)
+
+
+def _psc_checkpoint(path, metadata):
+    save_checkpoint(path, SpeechModel(toy_spec("psc"), seed=9), b"\x01" * 8, metadata)
+    blob = path.read_bytes()
+    (spec_len,) = struct.unpack("<I", blob[8:12])
+    meta_at = 12 + spec_len + 8  # offset of the metadata size field
+    (meta_len,) = struct.unpack("<I", blob[meta_at:meta_at + 4])
+    return blob, spec_len, meta_at, meta_len
+
+
+def test_checkpoint_undecodable_metadata_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    blob, _, meta_at, _ = _psc_checkpoint(path, {"note": "x"})
+    at = blob.index(b'"x"', meta_at) + 1
+    path.write_bytes(blob[:at] + b"\xef" + blob[at + 1:])
+    with pytest.raises(FormatError, match="metadata"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_psc_spec_without_lse_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    blob, _, _, _ = _psc_checkpoint(path, {})
+    path.write_bytes(blob.replace(b'"lse"', b'"lsf"', 1))
+    with pytest.raises(FormatError, match="architecture"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("layers", [
+    (("conv", 3, 3, "relu"), ("sigmoid",)),               # psc without lse
+    (("lse", 1.0), ("sigmoid",)),                         # psc without conv
+    ((), ("conv", 3, 3, "none"), ("lse", 1.0)),           # empty layer
+    (("conv", 3, 3, "tanh"), ("lse", 1.0)),               # unknown activation
+    (("conv", 0, 3, "none"), ("lse", 1.0)),               # width 0
+    (("conv", 3, 3, "none"), ("lse", "1")),               # r not a number
+    (("conv", 3, 3), ("lse", 1.0)),                       # missing argument
+])
+def test_spec_refuses_malformed_layers(layers):
+    with pytest.raises(ConfigError):
+        models.ArchitectureSpec("psc", 3, 8, layers)
+
+
+def test_checkpoint_fuzz_raises_only_data_errors(tmp_path):
+    """3000 truncated, bit-flipped and oversized-header copies of a toy psc
+    checkpoint: each one loads or raises a DataError, never another error."""
+    path = tmp_path / "model.ckpt"
+    blob, spec_len, meta_at, meta_len = _psc_checkpoint(
+        path, {"epochs_run": 2, "dev_loss": [0.5, 0.25], "note": "toy"})
+    damaged = tmp_path / "damaged.ckpt"
+    leaks = []
+    for kind, data in corrupted_copies(blob, 3000, seed=5, header_len=meta_at + 4 + meta_len,
+                                       size_offsets=(8, meta_at)):
+        damaged.write_bytes(data)
+        try:
+            load_checkpoint(damaged)
+        except DataError:
+            pass
+        except Exception as err:  # noqa: BLE001 -- any other error is the failure
+            leaks.append(f"{kind}: {err!r}")
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 
 # -- gradient harness ----------------------------------------------------------------

@@ -6,9 +6,10 @@ import pytest
 
 from gkw import ops
 from gkw.errors import ConfigError, DataError, InvalidInputError
+from gkw.models import cnn_pool, psc
 from gkw.tensor import Tensor, parameter
 
-from oracles import oracle_conv1d
+from oracles import oracle_conv1d, reference_conv1d_backward
 
 
 def finite_diff(build, params, step=1e-5, tol=1e-6):
@@ -156,6 +157,45 @@ def test_conv_lifted_2d_input_matches_oracle(dtype, tol):
     assert _conv_against_oracle(rng, [10], 10, 3, 4, 3, dtype, lift=True) <= tol
 
 
+def _default_conv_layers(spec, lengths):
+    """(input lengths, D, K, width) of each conv layer of `spec` on a batch
+    of utterances with the given frame counts."""
+    layers, d = [], spec.input_dim
+    for layer in spec.layers:
+        if layer[0] == "conv":
+            _, width, filters, _ = layer
+            layers.append((lengths, d, filters, width))
+            lengths, d = ops.conv_out_lengths(lengths, width), filters
+        elif layer[0] == "pool":
+            lengths = ops.pool_out_lengths(lengths, layer[1])
+    return layers
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", [cnn_pool, psc])
+def test_conv_backward_is_bitwise_the_reference_at_default_layer_shapes(make, dtype):
+    # B = 32 utterances of 100 (cnn-pool: its minimum, 126) to 600 frames
+    # through every conv layer of the default model; padding holds large
+    # values that must not leak
+    rng = np.random.default_rng(41)
+    spec = make(20)
+    frames = rng.integers(max(100, spec.min_frames), 601, size=32)
+    for lengths, D, K, width in _default_conv_layers(spec, frames):
+        B, T = len(lengths), int(lengths.max())
+        x_data = rng.normal(size=(B, T, D)).astype(dtype)
+        x_data[np.arange(T)[None, :] >= lengths[:, None]] = 1e3
+        x = parameter(x_data, dtype=dtype)
+        f = parameter(rng.normal(size=(K, width, D)), dtype=dtype)
+        b = parameter(rng.normal(size=K), dtype=dtype)
+        probe = rng.normal(size=(B, T - width + 1, K)).astype(dtype)
+        (ops.conv1d_valid(x, f, b, lengths=lengths) * Tensor(probe)).sum().backward()
+        expected = reference_conv1d_backward(x_data, f.data, lengths, probe, dtype)
+        got = {"bias": b.grad, "filters": f.grad, "input": x.grad}
+        for (name, g), want in zip(got.items(), expected):
+            assert g.dtype == dtype and g.shape == want.shape
+            assert np.array_equal(g, want), f"{name} gradient, {D}->{K} width {width}"
+
+
 def test_conv_padding_gets_no_gradient():
     rng = np.random.default_rng(14)
     lens = np.array([5, 8])
@@ -228,6 +268,25 @@ def test_pool_masked_matches_per_row():
     for i, r in enumerate(rows):
         assert np.array_equal(out.data[i, : out_len[i]], pool_oracle(r, 3))
         assert np.all(out.data[i, out_len[i]:] == 0.0)
+
+
+def test_pool_ragged_batch_matches_per_row_and_pads_get_no_gradient():
+    rng = np.random.default_rng(24)
+    lens = np.array([13, 5, 9, 1, 11])
+    batch = rng.normal(size=(5, 13, 3))
+    batch[np.arange(13)[None, :] >= lens[:, None]] = 1e3   # padding must not win
+    x = parameter(batch, dtype=np.float64)
+    out = ops.max_pool1d(x, 4, lengths=lens)
+    out_len = ops.pool_out_lengths(lens, 4)
+    probe = rng.normal(size=out.data.shape)
+    (out * Tensor(probe)).sum().backward()
+    for i, n in enumerate(lens):
+        assert np.array_equal(out.data[i, :out_len[i]], pool_oracle(batch[i, :n], 4))
+        assert np.all(out.data[i, out_len[i]:] == 0.0)
+        assert np.all(x.grad[i, n:] == 0.0)
+        # each valid window passes its probe value to exactly one frame
+        sums = np.add.reduceat(x.grad[i, :n], np.arange(0, n, 4), axis=0)
+        assert np.array_equal(sums, probe[i, :out_len[i]])
 
 
 # -- max_over_time --------------------------------------------------------
@@ -378,6 +437,19 @@ def test_relu_values_and_gradient():
     assert np.array_equal(out.data, [0.0, 0.0, 3.0])
     out.sum().backward()
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_gradient_equals_the_where_form(dtype):
+    rng = np.random.default_rng(43)
+    data = rng.normal(size=(4, 30, 6))
+    data[rng.uniform(size=data.shape) < 0.2] = 0.0  # exact zeros get no gradient
+    x = parameter(data, dtype=dtype)
+    probe = rng.normal(size=data.shape).astype(dtype)
+    (ops.relu(x) * Tensor(probe)).sum().backward()
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, np.where(x.data > 0, probe, 0.0))
+    assert np.all(x.grad[x.data == 0.0] == 0.0)
 
 
 def test_sigmoid_extremes_stay_finite():

@@ -34,6 +34,35 @@ def test_reuse_accumulates():
     assert np.allclose(p.grad, [10.0])
 
 
+def test_shared_output_gradient_is_copied_into_each_parent():
+    # `add` hands the same output gradient to both parents
+    a = parameter([1.0, 2.0], dtype=np.float64)
+    b = parameter([3.0, 4.0], dtype=np.float64)
+    (a + b).sum().backward()
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    a.accumulate_grad(np.array([10.0, 20.0]))
+    assert np.array_equal(a.grad, [11.0, 21.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+
+
+def test_first_gradient_is_a_copy_in_the_value_dtype():
+    p = parameter([1.0, 2.0], dtype=np.float32)
+    g = np.array([0.1, 0.2], dtype=np.float64)
+    p.accumulate_grad(g)
+    g[:] = 5.0
+    assert p.grad.dtype == np.float32
+    assert np.array_equal(p.grad, np.array([0.1, 0.2], dtype=np.float32))
+
+
+def test_derived_gradients_are_released_after_the_sweep():
+    a = parameter([1.0, -2.0], dtype=np.float64)
+    hidden = a * 3.0
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    assert hidden.grad is None and loss.grad is None
+    assert np.array_equal(a.grad, 18.0 * a.data)
+
+
 def test_sub_neg():
     a = parameter([7.0], dtype=np.float64)
     b = parameter([3.0], dtype=np.float64)
