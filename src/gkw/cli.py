@@ -133,7 +133,7 @@ def _load_config_file(path):
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # undecodable UTF-8 or JSON
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config file must be a JSON object of sections")

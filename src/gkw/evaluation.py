@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .targets import Vocabulary
 
 
@@ -52,7 +52,7 @@ class ScoreTable:
 
     @classmethod
     def load(cls, path, vocab=None):
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().rstrip("\n")
             if not header.startswith("utt_id\t"):
                 raise DataError(f"{path}: missing score-table header")
@@ -322,7 +322,7 @@ def save_semantic_map(path, mapping):
 
 
 def load_semantic_map(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:

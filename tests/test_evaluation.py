@@ -25,6 +25,7 @@ from oracles import (
     oracle_eer,
     oracle_precision_at,
     random_eval_instance,
+    reader_leaks,
 )
 
 
@@ -355,6 +356,18 @@ def test_score_table_validation():
         ScoreTable(["u0", "u0"], np.zeros((2, 1), dtype=np.float32), Vocabulary(["a1"]))
 
 
+def test_score_table_fuzz_raises_only_data_errors(tmp_path):
+    """600 truncated, bit-flipped and overwritten copies of a score table:
+    each one loads or raises a DataError, never another error."""
+    path = tmp_path / "scores.tsv"
+    table_of([[0.5, 0.25, 1.0], [0.0, 0.75, 0.125]], ["dog", "café", "über"]).save(path)
+    blob = path.read_bytes()
+    header_len = blob.index(b"\n") + 1
+    leaks = reader_leaks(ScoreTable.load, tmp_path / "damaged.tsv", blob, 600, seed=8,
+                         header_len=header_len, size_offsets=(0, header_len, len(blob) - 4))
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
+
+
 # -- semantic map ------------------------------------------------------------------------
 
 def test_semantic_map_roundtrip(tmp_path):
@@ -381,6 +394,15 @@ def test_semantic_map_bad_files(tmp_path):
     path.write_text("{broken\n")
     with pytest.raises(DataError, match="JSON"):
         load_semantic_map(path)
+
+
+def test_semantic_map_fuzz_raises_only_data_errors(tmp_path):
+    path = tmp_path / "semantic.json"
+    save_semantic_map(path, {"dog": ["puppy", "hound"], "café": ["bistro", "crème"]})
+    blob = path.read_bytes()
+    leaks = reader_leaks(load_semantic_map, tmp_path / "damaged.json", blob, 600, seed=9,
+                         header_len=len(blob), size_offsets=(0, len(blob) // 2, len(blob) - 4))
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 
 def test_build_reference_keeps_oov_and_lowercases():

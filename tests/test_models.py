@@ -1,6 +1,7 @@
 """Architectures, loss, training loop, checkpoints, gradient harness."""
 
 import gc
+import re
 import struct
 import weakref
 
@@ -27,7 +28,7 @@ from gkw.models import (
 from gkw.targets import Vocabulary
 from gkw.tensor import Tensor, no_grad
 
-from oracles import corrupted_copies
+from oracles import reader_leaks
 
 
 def toy_corpus(rng, spec, n=20, vocab_size=5):
@@ -343,12 +344,16 @@ def test_train_divergence_reports_epoch_and_batch():
     spec = toy_spec("psc", vocab_size=3)
     feats, targs, ids = toy_corpus(rng, spec, n=8, vocab_size=3)
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match="epoch"):
+        with pytest.raises(NumericError, match="epoch") as info:
             train(
                 feats, targs, ids[:6], ids[6:], spec,
                 TrainConfig(epochs=3, batch_size=2, seed=0, patience=5,
                             learning_rate=1e12),
             )
+    named = re.search(r"\(utterances ([^)]*)\)", str(info.value))
+    assert named, str(info.value)
+    batch = named.group(1).split(", ")
+    assert len(batch) == 2 and set(batch) <= set(ids[:6])
 
 
 def test_score_utterances_matches_predict():
@@ -363,6 +368,103 @@ def test_score_utterances_matches_predict():
     mat = score_utterances(model, feats, ids, batch_size=3)
     for row, uid in enumerate(ids):
         assert np.abs(mat[row] - model.predict(feats[uid])).max() <= 1e-6
+
+
+def ragged_features(rng, spec, n=11):
+    """`n` utterances of a few lengths, each length shared by several."""
+    need = spec.min_frames
+    lengths = rng.choice([need, need + 4, need + 9, need + 9, need + 17], size=n)
+    return {
+        f"u{k:02d}": rng.normal(size=(int(t), spec.input_dim)).astype(np.float32)
+        for k, t in enumerate(lengths)
+    }
+
+
+def forward_spy(model):
+    """Record the lengths of every batch `model.forward` is called with."""
+    seen = []
+    real = model.forward
+
+    def spy(features, lengths=None, **kwargs):
+        seen.append(np.asarray(lengths).copy())
+        return real(features, lengths, **kwargs)
+
+    model.forward = spy
+    return seen
+
+
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_score_utterances_rows_do_not_depend_on_id_order(variant):
+    """Batches are taken in (length, id) order, so scoring any order of the
+    same ids runs the same float32 batches: rows equal to the bit."""
+    rng = np.random.default_rng(23)
+    spec = toy_spec(variant, vocab_size=4)
+    model = SpeechModel(spec, seed=6)
+    feats = ragged_features(rng, spec)
+    ids = list(feats)
+    shuffled = [ids[k] for k in rng.permutation(len(ids))]
+    first = score_utterances(model, feats, ids, batch_size=4)  # 11 = 4 + 4 + 3
+    again = score_utterances(model, feats, shuffled, batch_size=4)
+    assert first.dtype == np.float32
+    for row, uid in enumerate(shuffled):
+        assert np.array_equal(again[row], first[ids.index(uid)])
+    for row, uid in enumerate(ids):
+        assert np.abs(first[row] - model.predict(feats[uid])).max() <= 1e-6
+
+
+def test_score_utterances_batches_ascend_in_length():
+    rng = np.random.default_rng(24)
+    spec = toy_spec("psc", vocab_size=4)
+    model = SpeechModel(spec, seed=7)
+    feats = ragged_features(rng, spec)
+    seen = forward_spy(model)
+    score_utterances(model, feats, list(feats)[::-1], batch_size=3)
+    assert [len(lengths) for lengths in seen] == [3, 3, 3, 2]
+    flat = np.concatenate(seen)
+    assert np.array_equal(flat, np.sort([len(m) for m in feats.values()]))
+    assert all((np.diff(lengths) >= 0).all() for lengths in seen)
+
+
+def test_score_utterances_on_map_gets_each_id_once_with_its_own_map():
+    rng = np.random.default_rng(25)
+    spec = toy_spec("psc", vocab_size=4)
+    model = SpeechModel(spec, seed=8)
+    feats = ragged_features(rng, spec)
+    ids = list(feats)[::-1]
+    maps = {}
+
+    def on_map(utt_id, h):
+        assert utt_id not in maps
+        maps[utt_id] = h.copy()
+
+    mat = score_utterances(model, feats, ids, batch_size=4, on_map=on_map)
+    assert sorted(maps) == sorted(ids)
+    for row, uid in enumerate(ids):
+        probs, h = forward_psc(model, feats[uid])
+        assert maps[uid].shape == h.shape
+        assert np.abs(maps[uid] - h).max() <= 1e-5
+        assert np.abs(mat[row] - probs).max() <= 1e-5
+
+
+def test_epoch_loss_runs_length_ordered_batches_with_the_same_mean():
+    rng = np.random.default_rng(26)
+    spec = toy_spec("psc", vocab_size=4)
+    model = SpeechModel(spec, seed=9)
+    feats = ragged_features(rng, spec)
+    ids = list(feats)
+    targs = {uid: (rng.uniform(size=4) < 0.5).astype(np.float32) for uid in ids}
+    total = 0.0
+    with no_grad():
+        for start in range(0, len(ids), 4):  # in the order of `ids`
+            chunk = ids[start : start + 4]
+            batch, lengths = models._pad_batch(feats, chunk, model.dtype)
+            targets = np.stack([targs[uid] for uid in chunk])
+            total += bow_loss(model.forward(batch, lengths), targets).data.item() * len(chunk)
+    seen = forward_spy(model)
+    loss = models._epoch_loss(model, feats, targs, ids, 4)
+    assert abs(loss - total / len(ids)) <= 1e-6
+    assert all((np.diff(lengths) >= 0).all() for lengths in seen)
+    assert np.array_equal(np.concatenate(seen), np.sort([len(m) for m in feats.values()]))
 
 
 # -- checkpoints --------------------------------------------------------------------
@@ -465,17 +567,8 @@ def test_checkpoint_fuzz_raises_only_data_errors(tmp_path):
     path = tmp_path / "model.ckpt"
     blob, spec_len, meta_at, meta_len = _psc_checkpoint(
         path, {"epochs_run": 2, "dev_loss": [0.5, 0.25], "note": "toy"})
-    damaged = tmp_path / "damaged.ckpt"
-    leaks = []
-    for kind, data in corrupted_copies(blob, 3000, seed=5, header_len=meta_at + 4 + meta_len,
-                                       size_offsets=(8, meta_at)):
-        damaged.write_bytes(data)
-        try:
-            load_checkpoint(damaged)
-        except DataError:
-            pass
-        except Exception as err:  # noqa: BLE001 -- any other error is the failure
-            leaks.append(f"{kind}: {err!r}")
+    leaks = reader_leaks(load_checkpoint, tmp_path / "damaged.ckpt", blob, 3000, seed=5,
+                         header_len=meta_at + 4 + meta_len, size_offsets=(8, meta_at))
     assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 

@@ -12,6 +12,7 @@ from gkw.errors import ConfigError, DataError
 from gkw.synth import (
     CorpusManifest,
     SynthConfig,
+    UtteranceRecord,
     content_forms,
     corpus_stats,
     default_channel,
@@ -19,6 +20,8 @@ from gkw.synth import (
 )
 from gkw.features import read_features
 from gkw.targets import VisionChannelConfig, Vocabulary, load_vision_targets
+
+from oracles import reader_leaks
 
 
 def toy_config(**overrides):
@@ -208,6 +211,19 @@ def test_manifest_accepts_paths_that_stay_inside(tmp_path):
     record = CorpusManifest.load(path).records[0]
     assert record.features == "sub/../features/./f.gkwf"
     assert record.vision_targets == "t.tsv"
+
+
+def test_manifest_fuzz_raises_only_data_errors(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    CorpusManifest(records=[
+        UtteranceRecord("u0", "train", "features/u0.gkwf", ("the", "café"), "vision.tsv"),
+        UtteranceRecord("u1", "test", "features/u1.gkwf", ("über", "dog")),
+    ], root=tmp_path).save(path)
+    blob = path.read_bytes()
+    leaks = reader_leaks(CorpusManifest.load, tmp_path / "damaged.jsonl", blob, 600, seed=12,
+                         header_len=blob.index(b"\n") + 1,
+                         size_offsets=(0, len(blob) // 2, len(blob) - 4))
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 
 def test_default_channel_follows_vocab_size():

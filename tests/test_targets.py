@@ -16,6 +16,8 @@ from gkw.targets import (
     write_vision_targets,
 )
 
+from oracles import reader_leaks
+
 
 def test_build_vocabulary_tie_break():
     corpus = ["a dog runs".split(), "a dog sleeps".split()]
@@ -93,6 +95,15 @@ def test_empty_vocabulary_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataError):
         Vocabulary.load(path)
+
+
+def test_vocabulary_file_fuzz_raises_only_data_errors(tmp_path):
+    path = tmp_path / "vocabulary.txt"
+    Vocabulary(["dog", "café", "über", "cat"]).save(path)
+    blob = path.read_bytes()
+    leaks = reader_leaks(Vocabulary.load, tmp_path / "damaged.txt", blob, 600, seed=10,
+                         header_len=len(blob), size_offsets=(0, len(blob) // 2, len(blob) - 4))
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 
 # -- oracle_bow -------------------------------------------------------------
@@ -183,6 +194,20 @@ def test_vision_targets_duplicate_id(tmp_path):
     path.write_text("u1\tdog:0.4\nu1\tdog:0.5\n")
     with pytest.raises(DataError, match="duplicate"):
         load_vision_targets(path, vocab)
+
+
+def test_vision_targets_fuzz_raises_only_data_errors(tmp_path):
+    vocab = Vocabulary(["dog", "café", "über", "cat"])
+    path = tmp_path / "targets.tsv"
+    write_vision_targets(path, {
+        "utt0": np.array([0.5, 0.0, 0.875, 1.0], dtype=np.float32),
+        "utt1": np.array([0.0, 0.25, 0.0, 0.0625], dtype=np.float32),
+    }, vocab)
+    blob = path.read_bytes()
+    leaks = reader_leaks(lambda p: load_vision_targets(p, vocab), tmp_path / "damaged.tsv",
+                         blob, 600, seed=11, header_len=blob.index(b"\n") + 1,
+                         size_offsets=(0, len(blob) // 2, len(blob) - 4))
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 
 # -- synthetic channel --------------------------------------------------------

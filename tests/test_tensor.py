@@ -54,6 +54,15 @@ def test_first_gradient_is_a_copy_in_the_value_dtype():
     assert np.array_equal(p.grad, np.array([0.1, 0.2], dtype=np.float32))
 
 
+def test_fresh_first_gradient_is_adopted_and_added_into_in_place():
+    p = parameter([1.0, 2.0], dtype=np.float32)
+    g = np.array([0.1, 0.2], dtype=np.float32)
+    p.accumulate_grad(g)
+    assert p.grad is g
+    p.accumulate_grad(np.array([1.0, 1.0], dtype=np.float32))
+    assert p.grad is g and np.array_equal(g, np.array([1.1, 1.2], dtype=np.float32))
+
+
 def test_derived_gradients_are_released_after_the_sweep():
     a = parameter([1.0, -2.0], dtype=np.float64)
     hidden = a * 3.0
