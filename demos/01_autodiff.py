@@ -33,12 +33,16 @@ for j in range(2):
 print("numeric dy/db:", numeric)
 print("max gap:", np.abs(b.grad - numeric).max())
 
-# Soft pooling: r sweeps the output from the mean to the max.
-h = Tensor(rng.normal(size=(1, 10, 1)))
+# Soft pooling: r sweeps the output from the mean to the max. The time ops
+# take one (T, D) matrix per utterance, or several packed back to back
+# with their `lengths`.
+h = Tensor(rng.normal(size=(10, 1)))
 print("\nmean", float(h.data.mean()), " max", float(h.data.max()))
 for r in (0.01, 1.0, 100.0):
     pooled = logsumexp_pool(h, r).data.item()
     print(f"logsumexp pool r={r:>6}: {pooled:.5f}")
+both = logsumexp_pool(Tensor(np.concatenate([h.data, h.data[:4]])), 1.0, lengths=[10, 4])
+print("packed [10, 4] frames, r=1:", np.round(both.data.ravel(), 5))
 
 # The same machinery, checked end to end through each architecture.
 print()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, FormatError, open_text
 from .targets import Vocabulary
 
 
@@ -38,6 +38,8 @@ class ScoreTable:
             )
         if len(set(self.utt_ids)) != len(self.utt_ids):
             raise DataError("duplicate utterance ids in score table")
+        if not np.isfinite(self.scores).all():
+            raise DataError("scores must be finite numbers in [0, 1]")
         if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
             raise DataError("scores must lie in [0, 1]")
 
@@ -75,9 +77,12 @@ class ScoreTable:
                         f"{len(words)} vocabulary words"
                     )
                 try:
-                    rows.append([float(v) for v in values])
+                    row = [float(v) for v in values]
                 except ValueError as err:
                     raise DataError(f"{path}:{lineno}: {err}") from None
+                if not np.isfinite(row).all():
+                    raise FormatError(f"{path}:{lineno}: scores must be finite numbers")
+                rows.append(row)
                 ids.append(utt_id)
         return cls(ids, np.array(rows, dtype=np.float32), table_vocab)
 

@@ -187,4 +187,7 @@ def read_features(path):
         raise FormatError(
             f"{path}: truncated or oversized payload, header claims {rows}x{cols}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+    if not np.isfinite(matrix).all():
+        raise FormatError(f"{path}: non-finite feature values")
+    return matrix

@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, FormatError, InvalidInputError, Nume
 from .tensor import Tensor, no_grad
 
 _CKPT_MAGIC = b"GKWM"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # version 1 had no dtype field and stored float32
 
 CNN_POOL = "cnn-pool"
 PSC = "psc"
@@ -256,10 +256,13 @@ class SpeechModel:
     def forward(self, features, lengths=None, return_scores=False):
         """Features (B, T, D) with valid `lengths`, or a single (T, D) matrix.
 
-        Returns the (B, vocab_size) probability Tensor. With `return_scores`
-        (psc only) returns (probs, h, h_lengths): h is the (B, T', W) score
-        Tensor that log-average-exp pooling reduces to the word scores, and
-        row b of h is valid for its first h_lengths[b] frames.
+        The batch is packed on entry: utterance b's first lengths[b] frames,
+        the utterances back to back, with no padding (see `ops`). Returns the
+        (B, vocab_size) probability Tensor. With `return_scores` (psc only)
+        returns (probs, h, h_lengths): h is the packed (N', W) score Tensor
+        that log-average-exp pooling reduces to the word scores, in which
+        utterance b owns the h_lengths[b] rows after those of the utterances
+        before it.
         """
         if return_scores and self.spec.variant != PSC:
             raise ConfigError(
@@ -276,10 +279,16 @@ class SpeechModel:
             raise DataError(
                 f"feature dimension {D} != expected {self.spec.input_dim}"
             )
-        lengths = (
-            np.full(B, T, dtype=np.int64) if lengths is None
-            else np.asarray(lengths, dtype=np.int64)
-        )
+        if lengths is None:
+            lengths = np.full(B, T, dtype=np.int64)
+            packed = x.reshape(B * T, D)
+        else:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if lengths.shape != (B,) or (lengths < 1).any() or (lengths > T).any():
+                raise DataError(
+                    f"lengths must be {B} values in [1, {T}], got {lengths}"
+                )
+            packed = x[np.arange(T) < lengths[:, None]]
         need = self.spec.min_frames
         if (lengths < need).any():
             short = int(np.argmin(lengths))
@@ -288,9 +297,8 @@ class SpeechModel:
                 f"frames; this architecture needs at least {need}"
             )
 
-        t = Tensor(x)
+        t = Tensor(packed)
         lens = lengths
-        extents = []
         conv_i = dense_i = 0
         for layer in self.spec.layers:
             if layer[0] == "conv":
@@ -303,13 +311,11 @@ class SpeechModel:
                     lengths=lens,
                 )
                 lens = ops.conv_out_lengths(lens, width)
-                extents.append(t.data.shape[1])
                 if activation == "relu":
                     t = ops.relu(t)
             elif layer[0] == "pool":
                 t = ops.max_pool1d(t, layer[1], lengths=lens)
                 lens = ops.pool_out_lengths(lens, layer[1])
-                extents.append(t.data.shape[1])
             elif layer[0] == "maxtime":
                 t = ops.max_over_time(t, lengths=lens)
                 lens = None
@@ -328,7 +334,7 @@ class SpeechModel:
                 )
             elif layer[0] == "sigmoid":
                 t = ops.sigmoid(t)
-        self.last_time_extents = extents
+        self.last_time_extents = self.spec.time_extents(T)
         return (t, h, h_lengths) if return_scores else t
 
     def predict(self, features):
@@ -361,7 +367,7 @@ def forward_psc(model, features):
     """Single-utterance psc forward: ((W,) probs, (T', W) localization)."""
     with no_grad():
         probs, h, h_lengths = model.forward(features, return_scores=True)
-    return probs.data[0].copy(), h.data[0, : h_lengths[0]].copy()
+    return probs.data[0].copy(), h.data.copy()
 
 
 # -- loss ----------------------------------------------------------------------
@@ -431,9 +437,10 @@ def _length_ordered_batches(feature_map, ids, batch_size, dtype):
     passes: yields (rows, chunk, batch, lengths), where rows are the
     positions in `ids` of the utterances in `chunk`.
 
-    Neighbours in length share a batch, so little of it is padding (9.7%
-    against 40.1% in manifest order on 127-610 frame utterances at B=32),
-    and the batches depend only on the set of ids, not on their order.
+    The batches depend only on the set of ids, not on their order.
+    Neighbours in length share a batch, so the padded array that `forward`
+    packs on entry is small (9.7% padding against 40.1% in manifest order
+    on 127-610 frame utterances at B=32).
     """
     order = sorted(range(len(ids)), key=lambda k: (len(feature_map[ids[k]]), ids[k]))
     for start in range(0, len(order), batch_size):
@@ -459,10 +466,12 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
           progress=None, dtype=np.float32):
     """Fit a model; returns (model-with-best-dev-params, metadata dict).
 
-    Shuffles per epoch with the seeded generator, pads each batch to its
-    longest utterance with valid-length masks, and stops early when dev
-    loss has not improved for `patience` epochs. `progress`, if given, is
-    called as progress(epoch, train_loss, dev_loss) after each epoch.
+    Shuffles per epoch with the seeded generator and runs each batch
+    packed: `forward` puts its utterances back to back, so no padding frame
+    is computed and no utterance's gradient depends on another's frames.
+    Stops early when dev loss has not improved for `patience` epochs.
+    `progress`, if given, is called as progress(epoch, train_loss,
+    dev_loss) after each epoch.
     """
     from .optim import Adam
 
@@ -555,11 +564,11 @@ def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
     matrix whose row k belongs to ids[k].
 
     The utterances run in batches of `batch_size` taken in (length, id)
-    order, not in the order of `ids`, so a batch holds little padding and
-    any order of the same ids gives the same rows to the bit. With `on_map`
-    (psc only), each utterance's (T', W) score map from the same batched
-    pass is handed over as on_map(utt_id, h): a view into the batch, valid
-    only during the call. The calls come in (length, id) order.
+    order, not in the order of `ids`, so any order of the same ids gives
+    the same rows to the bit. With `on_map` (psc only), each utterance's
+    (T', W) score map from the same batched pass is handed over as
+    on_map(utt_id, h): a view into the batch, valid only during the call.
+    The calls come in (length, id) order.
     """
     out = np.zeros((len(ids), model.spec.vocab_size), dtype=np.float32)
     with no_grad():
@@ -570,8 +579,9 @@ def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
                 probs = model.forward(batch, lengths)
             else:
                 probs, h, h_lengths = model.forward(batch, lengths, return_scores=True)
-                for row, utt_id in enumerate(chunk):
-                    on_map(utt_id, h.data[row, : h_lengths[row]])
+                maps = np.split(h.data, np.cumsum(h_lengths)[:-1])
+                for utt_id, utt_map in zip(chunk, maps):
+                    on_map(utt_id, utt_map)
             out[rows] = probs.data
     return out
 
@@ -580,11 +590,13 @@ def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
 
 def save_checkpoint(path, model, vocab_fingerprint, metadata):
     """Binary checkpoint: architecture, vocabulary fingerprint, metadata,
-    parameter tensors in declaration order."""
+    the parameters' float width in bytes (4 or 8), and the parameter
+    tensors in declaration order, in the model's own precision."""
     if len(vocab_fingerprint) != 8:
         raise FormatError("vocabulary fingerprint must be 8 bytes")
     spec_blob = model.spec.canonical_json().encode("utf-8")
     meta_blob = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    itemsize = np.dtype(model.dtype).itemsize
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", _CKPT_VERSION))
@@ -593,8 +605,9 @@ def save_checkpoint(path, model, vocab_fingerprint, metadata):
         fh.write(vocab_fingerprint)
         fh.write(struct.pack("<I", len(meta_blob)))
         fh.write(meta_blob)
+        fh.write(struct.pack("<I", itemsize))
         for _, p in model.parameters():
-            arr = np.ascontiguousarray(p.data, dtype="<f4")
+            arr = np.ascontiguousarray(p.data, dtype=f"<f{itemsize}")
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
@@ -612,15 +625,17 @@ def _read_exact(fh, n, path, what):
 def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
     """Read a checkpoint; returns (model, vocab_fingerprint, metadata).
 
-    With `vocab` given, refuses a fingerprint mismatch; with `variant`
-    given, refuses a different architecture family.
+    The parameters come back in `dtype`, whatever width they were stored
+    at (version 1 files hold float32). With `vocab` given, refuses a
+    fingerprint mismatch; with `variant` given, refuses a different
+    architecture family.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
             raise FormatError(f"{path}: bad magic, not a checkpoint file")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-        if version != _CKPT_VERSION:
+        if version not in (1, _CKPT_VERSION):
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         try:
@@ -637,6 +652,11 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
             raise FormatError(f"{path}: bad metadata block: {err}") from None
         if not isinstance(metadata, dict):
             raise FormatError(f"{path}: metadata block is not a JSON object")
+        itemsize = 4
+        if version >= 2:
+            (itemsize,) = struct.unpack("<I", _read_exact(fh, 4, path, "dtype"))
+            if itemsize not in (4, 8):
+                raise FormatError(f"{path}: unsupported parameter width {itemsize} bytes")
 
         if variant is not None and spec.variant != variant:
             raise DataError(
@@ -665,8 +685,8 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
                     f"expected {p.data.shape}"
                 )
             count = int(np.prod(shape))
-            blob = _read_exact(fh, 4 * count, path, f"{name} values")
-            state[name] = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
+            blob = _read_exact(fh, itemsize * count, path, f"{name} values")
+            state[name] = np.frombuffer(blob, dtype=f"<f{itemsize}").reshape(shape).copy()
         trailing = fh.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after parameters")
@@ -679,23 +699,27 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
 def gradient_check(spec, seed=0, step=1e-5, frames=None, corrupt=False):
     """Central-difference check of every parameter gradient at 64-bit.
 
-    Returns (max relative error, worst parameter name). `corrupt`
-    deliberately scales one analytic gradient, a negative control proving
-    the check can fail.
+    `frames` is the input's length, or a sequence of lengths for a ragged
+    batch (default: one utterance of spec.min_frames + 6 frames). Returns
+    (max relative error, worst parameter name). `corrupt` deliberately
+    scales one analytic gradient, a negative control proving the check can
+    fail.
     """
     if not step > 0:
         raise ConfigError(f"finite-difference step must be > 0, got {step}")
     rng = np.random.default_rng(seed)
     model = SpeechModel(spec, seed=seed + 1, dtype=np.float64)
-    T = frames if frames is not None else spec.min_frames + 6
-    x = rng.normal(size=(T, spec.input_dim)) * 0.5
-    y = (rng.uniform(size=spec.vocab_size) < 0.5).astype(np.float64)[None, :]
+    lengths = np.atleast_1d(spec.min_frames + 6 if frames is None else frames).astype(np.int64)
+    x = np.zeros((len(lengths), int(lengths.max()), spec.input_dim))
+    for row, n in enumerate(lengths):
+        x[row, :n] = rng.normal(size=(n, spec.input_dim)) * 0.5
+    y = (rng.uniform(size=(len(lengths), spec.vocab_size)) < 0.5).astype(np.float64)
 
     def loss_value():
         with no_grad():
-            return bow_loss(model.forward(x), y).data.item()
+            return bow_loss(model.forward(x, lengths), y).data.item()
 
-    loss = bow_loss(model.forward(x), y)
+    loss = bow_loss(model.forward(x, lengths), y)
     loss.backward()
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

@@ -1,11 +1,16 @@
 """Layer primitives: valid 1-D convolution, pooling, and affine maps.
 
-Every op accepts a single matrix (time on axis 0) or a batch (batch, time,
-channels). Batches carry a `lengths` vector giving the number of valid
-leading frames per row; frames past that are padding. Ops never let padding
-influence a valid output: positions computed from padding are zero-filled
-in the forward pass and receive no gradient, so a model's output on a
-padded utterance is identical to the unpadded one.
+The time ops (`conv1d_valid`, `max_pool1d`, `max_over_time`,
+`logsumexp_pool`) take a packed batch: one (N, D) matrix that holds the
+utterances back to back, time on axis 0, and a `lengths` vector whose
+entries sum to N. Utterance b owns the lengths[b] rows after those of the
+utterances before it. A single (T, D) matrix is one utterance, and a
+(B, T, D) array is B utterances of T frames each. There is no padding. A
+convolution drops every output row whose window straddles a boundary
+between two utterances, and a pool starts its windows at each utterance's
+first frame, so no utterance's output or gradient depends on another's
+frames: a model's output on an utterance does not depend on what shares
+its batch.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
@@ -35,85 +40,103 @@ def _as_tensor(x, dtype=None):
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
-def _as_batch(x):
-    """Lift a (T, D) matrix to (1, T, D); report whether it was lifted."""
+def _packed(x, lengths):
+    """A time op's input as an (N, D) Tensor plus its segment lengths.
+
+    Returns (x, lengths, rows): `rows` is B for a (B, T, D) input, whose
+    per-frame outputs are shaped back to (B, T', K); 0 for a lone (T, D)
+    matrix, whose reductions return (K,); None for a packed (N, D) matrix
+    with `lengths`.
+    """
     x = _as_tensor(x)
-    if x.data.ndim == 2:
-        return x.reshape(1, *x.data.shape), True
+    shape = x.data.shape
     if x.data.ndim == 3:
-        return x, False
-    raise DataError(f"expected a 2-D or 3-D input, got shape {x.data.shape}")
-
-
-def _check_lengths(lengths, batch, time):
+        if lengths is not None:
+            raise DataError(
+                f"a {shape} batch holds {shape[0]} utterances of {shape[1]} frames; "
+                f"pass a ragged batch packed as (N, D) with its lengths"
+            )
+        B, T, D = shape
+        return x.reshape(B * T, D), np.full(B, T, dtype=np.int64), B
+    if x.data.ndim != 2:
+        raise DataError(f"expected a 2-D or 3-D input, got shape {shape}")
     if lengths is None:
-        return np.full(batch, time, dtype=np.int64)
+        return x, np.array([shape[0]], dtype=np.int64), 0
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (batch,):
-        raise DataError(f"lengths shape {lengths.shape} != (batch,) = ({batch},)")
-    if (lengths < 1).any() or (lengths > time).any():
-        raise DataError(f"lengths must lie in [1, {time}], got {lengths}")
-    return lengths
+    if lengths.ndim != 1 or not len(lengths):
+        raise DataError(f"lengths must be a non-empty vector, got shape {lengths.shape}")
+    if (lengths < 1).any() or lengths.sum() != shape[0]:
+        raise DataError(
+            f"lengths must be >= 1 and sum to the {shape[0]} packed rows, got {lengths}"
+        )
+    return x, lengths, None
 
 
-def _valid_time_mask(lengths, time):
-    return np.arange(time)[None, :] < lengths[:, None]
+def _offsets(lengths):
+    """First row of each segment of a packed matrix."""
+    return np.cumsum(lengths) - lengths
+
+
+def _segment_rows(starts, counts, step=1):
+    """Rows starts[b] + step * j for j < counts[b], segment after segment."""
+    within = np.arange(counts.sum()) - np.repeat(_offsets(counts), counts)
+    return np.repeat(starts, counts) + step * within
 
 
 def conv1d_valid(x, filters, bias, lengths=None):
     """Valid 1-D convolution over time, stride 1.
 
-    x: (T, D) or (B, T, D); filters: (K, width, D); bias: (K,).
-    out[t, k] = bias[k] + sum_{i, d} x[t+i, d] * filters[k, i, d],
-    shape (T - width + 1, K). Every valid frame window must fit:
-    each row needs at least `width` valid frames.
+    x: packed (N, D) with `lengths`, (T, D), or (B, T, D); filters:
+    (K, width, D); bias: (K,). For each utterance,
+    out[t, k] = bias[k] + sum_{i, d} x[t+i, d] * filters[k, i, d]
+    for t < length - width + 1, so each utterance needs at least `width`
+    frames. The output is packed the same way, with conv_out_lengths(lengths)
+    rows per utterance.
 
-    Layout: the batch is viewed as one (B*T, D) matrix and each tap i is a
-    single GEMM, flat[:n] += x_flat[i:i+n] @ filters[:, i].T with
-    n = B*T - width + 1 (Chellapilla et al. 2006 without the im2col copy).
-    Flat row b*T + t is output frame t of row b; rows whose window runs
-    into the next batch row have t >= T - width + 1 and are cut off. The
-    input gradient runs the same way on the zero-padded (B*T, K) output
-    gradient. Every output element is the same inner product as in a
-    per-row GEMM (inner dimension D forward, K for the input gradient) and
-    the taps are added in the same order, so flattening only turns B small
+    Layout: each tap i is a single GEMM over the whole packed matrix,
+    flat += x[i:i+n] @ filters[:, i].T with n = N - width + 1
+    (Chellapilla et al. 2006 without the im2col copy). Flat row r is the
+    window that starts at input row r. The width - 1 rows before each
+    utterance boundary hold windows that straddle it; one row gather drops
+    them, so the next layer gets a packed matrix again. Every kept element is
+    the same inner product as in a per-utterance GEMM (inner dimension D),
+    with the taps added in the same order, so packing only turns B small
     GEMMs per tap into one tall one, and at the default models' layer sizes
-    the result is bitwise that of one GEMM per row. BLAS libraries switch
-    to other kernels for small products (OpenBLAS below roughly 1e5
+    the result is bitwise that of one GEMM per utterance. BLAS libraries
+    switch to other kernels for small products (OpenBLAS below roughly 1e5
     multiply-adds per row, e.g. a 6-word psc output layer on short
-    utterances, or 1-3 output frames per row), and those can round the
-    last bit differently. The forward pass builds no (B*T, width*D) column
+    utterances, or 1-3 output frames per utterance), and those can round the
+    last bit differently. The forward pass builds no (N, width*D) column
     matrix: for long inputs and few filters it would be many times the
     input's size.
 
-    Backward: padding frames' output gradient is zeroed by multiplying
-    with the valid-frame mask. The filter gradient is one GEMM,
-    g.reshape(B*T_out, K).T @ win, over the (B*T_out, width*D) window
-    matrix whose row b*T_out + t is x[b, t:t+width]. In float32 that
-    matrix is copied tap-major, (width, D) per row, so the copy moves
-    runs of D contiguous values (1.5 ms against 7.3 ms for the d-major
-    gather on a 96->96 psc layer at B=32, T=220, 2-core Xeon) and the
-    product is already in (K, width, D) order. The inner dimension stays
-    B*T_out, so every element is the same sum in the same order as with
-    the d-major (D, width) matrix; only the order of the output columns
-    changes. OpenBLAS's dgemm (0.3.31, x86-64) rounds the last
-    (width*D mod 8) columns with an edge kernel that sums differently,
-    while its sgemm rounds every column alike, so float64 keeps the
-    d-major order to stay bitwise (the 39-channel first layer has 351
-    columns).
+    Backward: the filter gradient is one GEMM, g.T @ win, over the
+    (N_out, width*D) window matrix of the kept rows: row j is the window of
+    output row j. In float32 that matrix is gathered tap-major, (width, D)
+    per row, so the copy moves runs of D contiguous values (1.5 ms against
+    7.3 ms for the d-major gather on a 96->96 psc layer at B=32, T=220,
+    2-core Xeon) and the product is already in (K, width, D) order. The
+    inner dimension stays N_out, so every element is the same sum in the
+    same order as with the d-major (D, width) matrix; only the order of the
+    output columns changes. OpenBLAS's dgemm (0.3.31, x86-64) rounds the
+    last (width*D mod 8) columns with an edge kernel that sums differently,
+    while its sgemm rounds every column alike, so float64 keeps the d-major
+    order to stay bitwise (the 39-channel first layer has 351 columns). The
+    input gradient runs the forward's per-tap GEMMs in reverse over the
+    output gradient scattered back to the flat rows, where the straddling
+    rows get zero.
     """
-    xb, lifted = _as_batch(x)
+    x, lengths, rows = _packed(x, lengths)
     filters = _as_tensor(filters)
     bias = _as_tensor(bias)
     if filters.data.ndim != 3:
         raise DataError(f"filters must be (K, width, D), got {filters.data.shape}")
-    B, T, D = xb.data.shape
+    N, D = x.data.shape
     K, width, Df = filters.data.shape
     if Df != D:
         raise DataError(f"filter channels {Df} != input channels {D}")
     if bias.data.shape != (K,):
         raise DataError(f"bias shape {bias.data.shape} != ({K},)")
-    lengths = _check_lengths(lengths, B, T)
     if (lengths < width).any():
         short = int(np.argmin(lengths))
         raise InvalidInputError(
@@ -121,130 +144,132 @@ def conv1d_valid(x, filters, bias, lengths=None):
             f"a width-{width} convolution needs at least {width}"
         )
 
-    T_out = T - width + 1
-    n = B * T - width + 1
-    x_flat = xb.data.reshape(B * T, D)
-    flat = np.zeros((B * T, K), dtype=xb.data.dtype)
-    for i in range(width):
-        flat[:n] += x_flat[i:i + n] @ filters.data[:, i, :].T
-    out_data = np.empty((B, T_out, K), dtype=xb.data.dtype)
-    np.add(flat.reshape(B, T, K)[:, :T_out], bias.data, out=out_data)
+    n = N - width + 1
+    flat = x.data[:n] @ filters.data[:, 0, :].T
+    for i in range(1, width):
+        flat += x.data[i:i + n] @ filters.data[:, i, :].T
     out_len = conv_out_lengths(lengths, width)
-    row_valid = _valid_time_mask(out_len, T_out)
-    out_data[~row_valid] = 0.0
+    keep = _segment_rows(_offsets(lengths), out_len) if len(lengths) > 1 else None
+    out_data = flat if keep is None else flat[keep]
+    del flat
+    out_data += bias.data
+    N_out = len(out_data)
 
-    out = Tensor(out_data, _parents=(xb, filters, bias), _op="conv1d")
+    out = Tensor(out_data, _parents=(x, filters, bias), _op="conv1d")
     if out.requires_grad:
         def backward():
-            g = out.grad * row_valid[:, :, None]
+            g = out.grad
             if bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=(0, 1)))
+                bias.accumulate_grad(g.sum(axis=0))
             if filters.requires_grad:
-                win = sliding_window_view(xb.data, width, axis=1)  # (B,T_out,D,width)
+                win = sliding_window_view(x.data, width, axis=0)  # (n, D, width)
                 tap_major = win.dtype == np.float32
-                win = np.ascontiguousarray(win.transpose(0, 1, 3, 2) if tap_major else win)
-                gf = g.reshape(B * T_out, K).T @ win.reshape(B * T_out, width * D)
+                if tap_major:
+                    win = win.transpose(0, 2, 1)
+                win = np.ascontiguousarray(win if keep is None else win[keep])
+                gf = g.T @ win.reshape(N_out, width * D)
                 del win
                 gf = (gf.reshape(K, width, D) if tap_major else
                       np.ascontiguousarray(gf.reshape(K, D, width).transpose(0, 2, 1)))
                 filters.accumulate_grad(gf)
                 del gf  # before the input gradient allocates: lower peak RSS
-            if xb.requires_grad:
-                g_flat = np.zeros((B * T, K), dtype=g.dtype)
-                g_flat.reshape(B, T, K)[:, :T_out] = g
-                gx = np.zeros((B * T, D), dtype=xb.data.dtype)
+            if x.requires_grad:
+                if keep is None:
+                    g_flat = g
+                else:
+                    g_flat = np.zeros((n, K), dtype=g.dtype)
+                    g_flat[keep] = g
+                gx = np.zeros((N, D), dtype=x.data.dtype)
                 for i in range(width):
-                    gx[i:i + n] += g_flat[:n] @ filters.data[:, i, :]
-                xb.accumulate_grad(gx.reshape(B, T, D))
+                    gx[i:i + n] += g_flat @ filters.data[:, i, :]
+                x.accumulate_grad(gx)
         out._backward = backward
-    return out.reshape(T_out, K) if lifted else out
+    return out.reshape(rows, -1, K) if rows else out
 
 
 def max_pool1d(x, size, lengths=None):
     """Non-overlapping max pooling over time with a partial final window.
 
-    x: (T, K) or (B, T, K). Output has ceil(T/size) rows. Gradient goes to
-    the earliest maximal index in each window.
+    x: packed (N, K) with `lengths`, (T, K), or (B, T, K). Each utterance's
+    windows start at its first frame, and it keeps ceil(length/size) rows.
+    Gradient goes to the earliest maximal index in each window.
     """
     if size < 1:
         raise ConfigError(f"pool size must be >= 1, got {size}")
-    xb, lifted = _as_batch(x)
-    B, T, K = xb.data.shape
-    lengths = _check_lengths(lengths, B, T)
-
-    T_out = -(-T // size)
-    win = np.full((B, T_out * size, K), -np.inf, dtype=xb.data.dtype)
-    np.copyto(win[:, :T], xb.data, where=_valid_time_mask(lengths, T)[:, :, None])
-    win = win.reshape(B, T_out, size, K)
-    # running max over the window offsets: only a strictly greater value
-    # moves it, so ties keep the earliest index, as argmax does
-    val = win[:, :, 0, :].copy()                                 # (B,T_out,K)
-    arg = np.zeros(val.shape, dtype=np.intp)
-    for s in range(1, size):
-        better = win[:, :, s, :] > val
-        val = np.where(better, win[:, :, s, :], val)
-        arg += better * (s - arg)
+    x, lengths, rows = _packed(x, lengths)
+    starts = _offsets(lengths)
     out_len = pool_out_lengths(lengths, size)
-    row_valid = _valid_time_mask(out_len, T_out)
-    val[~row_valid] = 0.0
+    first = _segment_rows(starts, out_len, size)
+    # row of each window offset; a partial tail window repeats its last row,
+    # which changes neither its maximum nor its earliest maximal index
+    taps = first[:, None] + np.arange(size)
+    taps = np.minimum(taps, np.repeat(starts + lengths - 1, out_len)[:, None])
+    val = x.data[taps].max(axis=1)                                  # (M, K)
 
-    out = Tensor(val, _parents=(xb,), _op="max_pool1d")
+    out = Tensor(val, _parents=(x,), _op="max_pool1d")
     if out.requires_grad:
         def backward():
-            g = out.grad * row_valid[:, :, None]
-            onehot = arg[:, :, None, :] == np.arange(size)[None, None, :, None]
-            gwin = g[:, :, None, :] * onehot
-            xb.accumulate_grad(gwin.reshape(B, T_out * size, K)[:, :T, :])
+            hit = x.data[taps] == val[:, None, :]                  # (M, size, K)
+            seen = hit[:, 0].copy()
+            for s in range(1, size):  # keep each window's earliest hit only
+                hit[:, s] &= ~seen
+                seen |= hit[:, s]
+            real = (taps == first[:, None] + np.arange(size)).ravel()
+            gwin = out.grad[:, None, :] * hit
+            x.accumulate_grad(gwin.reshape(-1, val.shape[1])[real])
         out._backward = backward
-    return out.reshape(T_out, K) if lifted else out
+    return out.reshape(rows, -1, val.shape[1]) if rows else out
 
 
 def max_over_time(x, lengths=None):
-    """Maximum over all valid frames: (B, T, K) -> (B, K) or (T, K) -> (K,)."""
-    xb, lifted = _as_batch(x)
-    B, T, K = xb.data.shape
-    lengths = _check_lengths(lengths, B, T)
-    t_valid = _valid_time_mask(lengths, T)
-    masked = np.where(t_valid[:, :, None], xb.data, -np.inf)
-    arg = masked.argmax(axis=1)                                  # (B,K)
-    val = np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :]
+    """Maximum over each utterance's frames: packed (N, K) with B lengths or
+    (B, T, K) -> (B, K); (T, K) -> (K,). Gradient goes to the earliest
+    maximal frame."""
+    x, lengths, rows = _packed(x, lengths)
+    starts = _offsets(lengths)
+    val = np.maximum.reduceat(x.data, starts, axis=0)                  # (B, K)
 
-    out = Tensor(val, _parents=(xb,), _op="max_over_time")
+    out = Tensor(val, _parents=(x,), _op="max_over_time")
     if out.requires_grad:
         def backward():
-            onehot = np.arange(T)[None, :, None] == arg[:, None, :]
-            xb.accumulate_grad(out.grad[:, None, :] * onehot)
+            N = len(x.data)
+            hit = x.data == np.repeat(val, lengths, axis=0)
+            first = np.minimum.reduceat(np.where(hit, np.arange(N)[:, None], N), starts, axis=0)
+            gx = np.zeros_like(x.data)
+            np.put_along_axis(gx, first, out.grad, axis=0)
+            x.accumulate_grad(gx)
         out._backward = backward
-    return out.reshape(K) if lifted else out
+    return out.reshape(val.shape[1]) if rows == 0 else out
 
 
 def logsumexp_pool(h, r, lengths=None):
     """Soft temporal pooling: s_w = (1/r) log[(1/T) sum_t exp(r h[t,w])].
 
-    h: (T, W) or (B, T, W); returns (W,) or (B, W). Computed with a
-    per-column max shift so huge activations stay finite. Interpolates
-    between mean pooling (r -> 0) and max pooling (r -> inf).
+    h: packed (N, W) with B lengths or (B, T, W), returning (B, W); or
+    (T, W), returning (W,). Computed with a per-utterance, per-column max
+    shift so huge activations stay finite. Interpolates between mean
+    pooling (r -> 0) and max pooling (r -> inf).
     """
     if not r > 0:
         raise ConfigError(f"pooling sharpness r must be > 0, got {r}")
-    hb, lifted = _as_batch(h)
-    B, T, W = hb.data.shape
-    lengths = _check_lengths(lengths, B, T)
-    t_valid = _valid_time_mask(lengths, T)
+    h, lengths, rows = _packed(h, lengths)
+    starts = _offsets(lengths)
 
-    m = np.where(t_valid[:, :, None], hb.data, -np.inf).max(axis=1)   # (B,W)
-    diff = np.where(t_valid[:, :, None], hb.data - m[:, None, :], -np.inf)
-    z = np.exp(r * diff)                                              # 0 at padding
-    S = z.sum(axis=1)                                                 # (B,W)
-    log_n = np.log(lengths).astype(hb.data.dtype)
+    m = np.maximum.reduceat(h.data, starts, axis=0)                   # (B,W)
+    z = np.exp(r * (h.data - np.repeat(m, lengths, axis=0)))
+    # row by row within each utterance, the order a (T, W) sum over axis 0
+    # takes; np.add.reduceat adds in another order and rounds differently
+    S = np.stack([z[s:s + n].sum(axis=0) for s, n in zip(starts, lengths)])
+    log_n = np.log(lengths).astype(h.data.dtype)
     val = m + (np.log(S) - log_n[:, None]) / r
 
-    out = Tensor(val, _parents=(hb,), _op="logsumexp_pool")
+    out = Tensor(val, _parents=(h,), _op="logsumexp_pool")
     if out.requires_grad:
         def backward():
-            hb.accumulate_grad(out.grad[:, None, :] * z / S[:, None, :])
+            g = np.repeat(out.grad, lengths, axis=0)
+            h.accumulate_grad(g * z / np.repeat(S, lengths, axis=0))
         out._backward = backward
-    return out.reshape(W) if lifted else out
+    return out.reshape(val.shape[1]) if rows == 0 else out
 
 
 def dense(x, weights, bias, activation="none"):

@@ -135,37 +135,122 @@ def oracle_conv1d(x, filters, bias, lengths, grad_out):
     return out, d_filters, d_bias, d_x
 
 
+def pack(rows):
+    """Utterances back to back: (the (N, D) packed matrix, their lengths)."""
+    return np.concatenate(rows), np.array([len(r) for r in rows], dtype=np.int64)
+
+
+def unpack(packed, lengths):
+    """The per-utterance row blocks of a packed matrix."""
+    return np.split(packed, np.cumsum(lengths)[:-1])
+
+
+def pad(rows, fill=0.0):
+    """Utterances as a (B, T, D) batch padded with `fill` to the longest."""
+    batch = np.full((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:], fill)
+    for b, r in enumerate(rows):
+        batch[b, :len(r)] = r
+    return batch
+
+
 def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
     """The conv1d_valid backward that builds the window matrix d-major.
 
-    Masks with `np.where`, takes the filter gradient with `np.tensordot`
-    over a sliding-window view and transposes it to (K, width, D), and runs
-    the input gradient one GEMM per tap over the flattened batch. The fast
-    path must match it bitwise (up to the sign of zeros). Returns
-    (d_bias, d_filters, d_x) in `dtype`.
+    x: packed (N, D) with `lengths`; grad_out: packed (N_out, K). Takes the
+    filter gradient with `np.tensordot` over the kept rows of a
+    sliding-window view and transposes it to (K, width, D), and runs the
+    input gradient one GEMM per tap over the flat output gradient, whose
+    rows that straddle two utterances are zero. The fast path must match it
+    bitwise (up to the sign of zeros). Returns (d_bias, d_filters, d_x) in
+    `dtype`.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
     x = np.asarray(x, dtype=dtype)
     filters = np.asarray(filters, dtype=dtype)
-    grad_out = np.asarray(grad_out, dtype=dtype)
-    B, T, D = x.shape
+    g = np.asarray(grad_out, dtype=dtype)
+    N, D = x.shape
     K, width, _ = filters.shape
-    T_out = T - width + 1
-    n = B * T - width + 1
-    out_len = np.asarray(lengths) - width + 1
-    row_valid = np.arange(T_out)[None, :] < out_len[:, None]
-    g = np.where(row_valid[:, :, None], grad_out, 0.0)
-    d_bias = g.sum(axis=(0, 1))
-    win = sliding_window_view(x, width, axis=1)
-    gf = np.tensordot(g, win, axes=([0, 1], [0, 1]))
+    n = N - width + 1
+    starts = np.cumsum(lengths) - lengths
+    keep = np.concatenate([s + np.arange(l - width + 1) for s, l in zip(starts, lengths)])
+    d_bias = g.sum(axis=0)
+    win = sliding_window_view(x, width, axis=0)[keep]          # (N_out, D, width)
+    gf = np.tensordot(g, win, axes=([0], [0]))
     d_filters = np.ascontiguousarray(gf.transpose(0, 2, 1))
-    g_flat = np.zeros((B * T, K), dtype=dtype)
-    g_flat.reshape(B, T, K)[:, :T_out] = g
-    d_x = np.zeros((B * T, D), dtype=dtype)
+    g_flat = np.zeros((n, K), dtype=dtype)
+    g_flat[keep] = g
+    d_x = np.zeros((N, D), dtype=dtype)
     for i in range(width):
-        d_x[i:i + n] += g_flat[:n] @ filters[:, i, :]
-    return d_bias, d_filters, d_x.reshape(B, T, D)
+        d_x[i:i + n] += g_flat @ filters[:, i, :]
+    return d_bias, d_filters, d_x
+
+
+def reference_forward(model, batch, lengths, scores=False):
+    """A SpeechModel's forward pass on a padded (B, T, D) batch, computed
+    the padded way: every layer keeps (B, T', K) arrays, zero-fills the
+    frames past each row's valid length, pools with -inf fills, and masks
+    the time reductions. Plain numpy, no Tensors. Returns the (B, W)
+    probabilities, and with `scores` (psc) also the padded (B, T', W) score
+    map and its valid lengths.
+    """
+    from scipy.special import expit
+
+    dtype = model.dtype
+    x = np.asarray(batch, dtype=dtype)
+    lens = np.asarray(lengths, dtype=np.int64)
+    conv_i = dense_i = 0
+    h = h_lens = None
+    for layer in model.spec.layers:
+        if layer[0] == "conv":
+            _, width, _, activation = layer
+            conv_i += 1
+            F = model.params[f"conv{conv_i}.filters"].data
+            b = model.params[f"conv{conv_i}.bias"].data
+            B, T, D = x.shape
+            K, T_out, n = len(F), T - width + 1, B * T - width + 1
+            x_flat = x.reshape(B * T, D)
+            flat = np.zeros((B * T, K), dtype=dtype)
+            for i in range(width):
+                flat[:n] += x_flat[i:i + n] @ F[:, i, :].T
+            x = np.empty((B, T_out, K), dtype=dtype)
+            np.add(flat.reshape(B, T, K)[:, :T_out], b, out=x)
+            lens = lens - width + 1
+            x[np.arange(T_out)[None, :] >= lens[:, None]] = 0.0
+            if activation == "relu":
+                x = np.maximum(x, 0.0)
+        elif layer[0] == "pool":
+            size = layer[1]
+            B, T, K = x.shape
+            T_out = -(-T // size)
+            win = np.full((B, T_out * size, K), -np.inf, dtype=dtype)
+            np.copyto(win[:, :T], x, where=(np.arange(T)[None, :] < lens[:, None])[:, :, None])
+            x = win.reshape(B, T_out, size, K).max(axis=2)
+            lens = -(-lens // size)
+            x[np.arange(T_out)[None, :] >= lens[:, None]] = 0.0
+        elif layer[0] == "maxtime":
+            valid = np.arange(x.shape[1])[None, :, None] < lens[:, None, None]
+            x = np.where(valid, x, -np.inf).max(axis=1)
+        elif layer[0] == "lse":
+            r = layer[1]
+            h, h_lens = x, lens
+            valid = np.arange(x.shape[1])[None, :, None] < lens[:, None, None]
+            m = np.where(valid, x, -np.inf).max(axis=1)
+            z = np.exp(r * np.where(valid, x - m[:, None, :], -np.inf))
+            x = m + (np.log(z.sum(axis=1)) - np.log(lens).astype(dtype)[:, None]) / r
+        elif layer[0] == "dense":
+            _, _, activation = layer
+            dense_i += 1
+            W = model.params[f"dense{dense_i}.weights"].data
+            b = model.params[f"dense{dense_i}.bias"].data
+            x = x @ W.T + b
+            if activation == "relu":
+                x = np.maximum(x, 0.0)
+            elif activation == "sigmoid":
+                x = expit(x)
+        elif layer[0] == "sigmoid":
+            x = expit(x)
+    return (x, h, h_lens) if scores else x
 
 
 def corrupted_copies(blob, cases, seed, header_len, size_offsets):

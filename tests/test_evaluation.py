@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gkw.errors import ConfigError, DataError
+from gkw.errors import ConfigError, DataError, FormatError
 from gkw.evaluation import (
     ScoreTable,
     average_precision,
@@ -354,6 +354,21 @@ def test_score_table_validation():
         table_of([[1.2]], ["a1"])
     with pytest.raises(DataError):
         ScoreTable(["u0", "u0"], np.zeros((2, 1), dtype=np.float32), Vocabulary(["a1"]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_table_refuses_non_finite_scores(bad):
+    # NaN compares False against both bounds, so a range check alone lets it in
+    with pytest.raises(DataError, match="finite"):
+        table_of([[bad, 0.5]], ["a1", "b2"])
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+def test_score_table_load_refuses_non_finite_scores(tmp_path, text):
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"utt_id\ta1,b2\nu0\t{text},0.5\n")
+    with pytest.raises(FormatError, match=r":2: .*finite"):
+        ScoreTable.load(path)
 
 
 def test_score_table_fuzz_raises_only_data_errors(tmp_path):

@@ -15,6 +15,8 @@ from gkw.features import (
     write_features,
 )
 
+from oracles import reader_leaks
+
 
 def tone(freq, seconds, rate=16000, amp=0.5):
     t = np.arange(int(seconds * rate)) / rate
@@ -187,4 +189,32 @@ def test_header_claiming_more_than_the_file_holds(tmp_path):
     path.write_bytes(b"GKWF" + struct.pack("<III", 1, 2**32 - 1, 65535) + b"\x00" * 80)
     assert path.stat().st_size == 96
     with pytest.raises(FormatError, match="truncated"):
+        read_features(path)
+
+
+def _read_finite(path):
+    mat = read_features(path)
+    if not np.isfinite(mat).all():
+        raise AssertionError("read back non-finite feature values")
+    return mat
+
+
+def test_feature_file_fuzz_raises_only_data_errors(tmp_path):
+    """600 truncated, bit-flipped and oversized-header copies of a feature
+    file: each one reads back finite values or raises a DataError, never
+    another error."""
+    path = tmp_path / "utt.gkwf"
+    write_features(path, np.random.default_rng(9).normal(size=(12, 39)))
+    blob = path.read_bytes()
+    leaks = reader_leaks(_read_finite, tmp_path / "damaged.gkwf", blob, 600, seed=10,
+                         header_len=16, size_offsets=(8, 12))
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
+
+
+def test_non_finite_feature_values_are_format_errors(tmp_path):
+    path = tmp_path / "nan.gkwf"
+    mat = np.zeros((3, 2), dtype=np.float32)
+    mat[1, 1] = np.nan
+    write_features(path, mat)
+    with pytest.raises(FormatError, match="finite"):
         read_features(path)

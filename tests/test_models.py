@@ -28,7 +28,7 @@ from gkw.models import (
 from gkw.targets import Vocabulary
 from gkw.tensor import Tensor, no_grad
 
-from oracles import reader_leaks
+from oracles import pad, reader_leaks, reference_forward, unpack
 
 
 def toy_corpus(rng, spec, n=20, vocab_size=5):
@@ -123,6 +123,66 @@ def test_masking_invariance():
         batch = np.stack([padded, padded])
         masked = model.forward(batch, lengths=np.array([T, T + 25])).data[0]
         assert np.abs(masked - plain).max() <= 1e-6
+
+
+@pytest.mark.parametrize("make", [cnn_pool, psc])
+def test_forward_rows_match_the_padded_reference(make):
+    """A ragged B=32 batch, packed, gives every utterance's probabilities
+    (and psc's score map) bitwise as the padded, masked computation."""
+    rng = np.random.default_rng(30)
+    model = SpeechModel(make(20), seed=3)
+    lengths = rng.integers(128, 260, size=32)
+    batch = pad([rng.normal(size=(n, 39)).astype(np.float32) for n in lengths], fill=1e3)
+    with no_grad():
+        if make is psc:
+            probs, h, h_lengths = model.forward(batch, lengths, return_scores=True)
+        else:
+            probs = model.forward(batch, lengths)
+    want = reference_forward(model, batch, lengths, scores=make is psc)
+    if make is psc:
+        want, want_h, want_h_lengths = want
+        assert np.array_equal(h_lengths, want_h_lengths)
+        for b, rows in enumerate(unpack(h.data, h_lengths)):
+            assert np.array_equal(rows, want_h[b, :h_lengths[b]]), b
+    assert probs.data.dtype == want.dtype == np.float32
+    assert np.array_equal(probs.data, want)
+
+
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_perturbing_one_utterance_leaves_the_other_rows_bitwise(variant):
+    rng = np.random.default_rng(31)
+    spec = toy_spec(variant, vocab_size=4)
+    model = SpeechModel(spec, seed=5)
+    lengths = spec.min_frames + np.array([0, 7, 2, 13])
+    batch = rng.normal(size=(4, lengths.max(), spec.input_dim)).astype(np.float32)
+    before = model.forward(batch, lengths).data
+    for b in range(4):
+        changed = batch.copy()
+        changed[b, :lengths[b]] = rng.normal(size=(lengths[b], spec.input_dim)) * 10
+        after = model.forward(changed, lengths).data
+        for k in range(4):
+            assert np.array_equal(before[k], after[k]) == (k != b), (b, k)
+
+
+@pytest.mark.parametrize("variant, lengths", [
+    # cnn-pool: the minimum length, and tails of 0, 1 and 2 frames at both pools
+    ("cnn-pool", [126, 129, 127, 134]),
+    ("psc", [54, 60, 57, 71]),
+])
+def test_gradient_check_on_a_ragged_batch(variant, lengths):
+    spec = toy_spec(variant)
+    assert min(lengths) == spec.min_frames
+    err, worst = gradient_check(spec, seed=3, frames=lengths)
+    assert err <= 1e-6, f"{variant}: {err} at {worst}"
+
+
+def test_forward_refuses_lengths_outside_the_batch():
+    spec = toy_spec("psc")
+    model = SpeechModel(spec, seed=0)
+    batch = np.zeros((2, 60, spec.input_dim), dtype=np.float32)
+    for lengths in ([60, 61], [60], [0, 60]):
+        with pytest.raises(DataError, match="lengths"):
+            model.forward(batch, lengths)
 
 
 def test_psc_localization_consistency():
@@ -484,6 +544,49 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.abs(loaded.predict(probe) - model.predict(probe)).max() <= 1e-6
 
 
+def test_checkpoint_f64_roundtrip_is_bitwise(tmp_path):
+    model = SpeechModel(toy_spec("psc", vocab_size=4), seed=6, dtype=np.float64)
+    weights = model.params["conv1.filters"].data
+    assert not np.array_equal(weights, weights.astype(np.float32))  # f32 would round
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, b"\x02" * 8, {})
+    loaded, _, _ = load_checkpoint(path, dtype=np.float64)
+    for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
+        assert q.data.dtype == np.float64
+        assert np.array_equal(p.data, q.data), name
+
+
+def _as_version_1(blob):
+    """A version-2 checkpoint of a float32 model, rewritten in the version-1
+    layout: no parameter-width field after the metadata."""
+    (spec_len,) = struct.unpack("<I", blob[8:12])
+    meta_at = 12 + spec_len + 8
+    (meta_len,) = struct.unpack("<I", blob[meta_at:meta_at + 4])
+    width_at = meta_at + 4 + meta_len
+    assert blob[4:8] == struct.pack("<I", 2) and blob[width_at:width_at + 4] == struct.pack("<I", 4)
+    return blob[:4] + struct.pack("<I", 1) + blob[8:width_at] + blob[width_at + 4:]
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    model = SpeechModel(toy_spec("cnn-pool", vocab_size=4), seed=7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, b"\x03" * 8, {"epochs_run": 1})
+    path.write_bytes(_as_version_1(path.read_bytes()))
+    loaded, fp, meta = load_checkpoint(path)
+    assert fp == b"\x03" * 8 and meta == {"epochs_run": 1}
+    for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(p.data, q.data), name
+
+
+def test_checkpoint_bad_parameter_width_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    blob, _, meta_at, meta_len = _psc_checkpoint(path, {})
+    width_at = meta_at + 4 + meta_len
+    path.write_bytes(blob[:width_at] + struct.pack("<I", 2) + blob[width_at + 4:])
+    with pytest.raises(FormatError, match="width"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_fingerprint_mismatch_names_both(tmp_path):
     spec = toy_spec("psc", vocab_size=3)
     model = SpeechModel(spec, seed=7)
@@ -568,7 +671,7 @@ def test_checkpoint_fuzz_raises_only_data_errors(tmp_path):
     blob, spec_len, meta_at, meta_len = _psc_checkpoint(
         path, {"epochs_run": 2, "dev_loss": [0.5, 0.25], "note": "toy"})
     leaks = reader_leaks(load_checkpoint, tmp_path / "damaged.ckpt", blob, 3000, seed=5,
-                         header_len=meta_at + 4 + meta_len, size_offsets=(8, meta_at))
+                         header_len=meta_at + 8 + meta_len, size_offsets=(8, meta_at))
     assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:3]}"
 
 

@@ -9,7 +9,7 @@ from gkw.errors import ConfigError, DataError, InvalidInputError
 from gkw.models import cnn_pool, psc
 from gkw.tensor import Tensor, parameter
 
-from oracles import oracle_conv1d, reference_conv1d_backward
+from oracles import oracle_conv1d, pack, pad, reference_conv1d_backward, unpack
 
 
 def finite_diff(build, params, step=1e-5, tol=1e-6):
@@ -91,40 +91,54 @@ def test_conv_gradients():
 
 def test_conv_batched_matches_per_row():
     rng = np.random.default_rng(13)
-    lens = np.array([6, 9, 4])
-    B, T, D = 3, 9, 2
-    batch = np.zeros((B, T, D))
-    rows = [rng.normal(size=(l, D)) for l in lens]
-    for i, r in enumerate(rows):
-        batch[i, : lens[i]] = r
-    f = rng.normal(size=(3, 4, D))
+    rows = [rng.normal(size=(l, 2)) for l in (6, 9, 4)]
+    packed, lens = pack(rows)
+    f = rng.normal(size=(3, 4, 2))
     b = rng.normal(size=3)
-    out = ops.conv1d_valid(Tensor(batch, dtype=np.float64), f, b, lengths=lens)
+    out = ops.conv1d_valid(Tensor(packed, dtype=np.float64), f, b, lengths=lens)
     out_len = ops.conv_out_lengths(lens, 4)
-    for i, r in enumerate(rows):
+    assert out.data.shape == (out_len.sum(), 3)
+    for got, r in zip(unpack(out.data, out_len), rows):
         single = ops.conv1d_valid(Tensor(r, dtype=np.float64), f, b)
-        assert np.allclose(out.data[i, : out_len[i]], single.data, atol=1e-12)
-        assert np.all(out.data[i, out_len[i]:] == 0.0)
+        assert np.allclose(got, single.data, atol=1e-12)
+
+
+def test_conv_equal_length_batch_is_b_utterances():
+    rng = np.random.default_rng(16)
+    batch = rng.normal(size=(3, 7, 2))
+    f = rng.normal(size=(4, 3, 2))
+    b = rng.normal(size=4)
+    out = ops.conv1d_valid(Tensor(batch, dtype=np.float64), f, b)
+    packed = ops.conv1d_valid(Tensor(batch.reshape(21, 2), dtype=np.float64), f, b,
+                              lengths=[7, 7, 7])
+    assert out.data.shape == (3, 5, 4)
+    assert np.array_equal(out.data.reshape(15, 4), packed.data)
+    with pytest.raises(DataError, match="packed"):
+        ops.conv1d_valid(Tensor(batch), f, b, lengths=[7, 5, 6])
 
 
 def _conv_against_oracle(rng, lengths, T, D, K, width, dtype, lift=False):
     """Largest error of conv1d_valid and its three gradients vs the oracle,
-    relative to the largest oracle magnitude of each."""
-    B = len(lengths)
-    x_data = rng.normal(size=(B, T, D))
-    for b, n in enumerate(lengths):
-        x_data[b, n:] = rng.normal(size=(T - n, D)) * 1e3  # padding must not leak
-    x = parameter(x_data[0] if lift else x_data, dtype=dtype)
+    relative to the largest oracle magnitude of each. The utterances are
+    packed back to back (`lift`: one lone (T, D) matrix); the oracle runs
+    each on its own."""
+    rows = [rng.normal(size=(n, D)) for n in lengths]
+    out_len = ops.conv_out_lengths(lengths, width)
+    probes = [rng.normal(size=(n, K)) for n in out_len]
+    packed, _ = pack(rows)
+    x = parameter(packed, dtype=dtype)
     f = parameter(rng.normal(size=(K, width, D)), dtype=dtype)
     b_ = parameter(rng.normal(size=K), dtype=dtype)
-    probe = rng.normal(size=(B, T - width + 1, K))
     out = ops.conv1d_valid(x, f, b_, lengths=None if lift else lengths)
-    (out * Tensor(probe[0] if lift else probe, dtype=dtype)).sum().backward()
-    expected = oracle_conv1d(x_data, f.data, b_.data, lengths, probe)
+    (out * Tensor(pack(probes)[0], dtype=dtype)).sum().backward()
+    expected = oracle_conv1d(pad(rows), f.data, b_.data, lengths,
+                             pad(probes)[:, :T - width + 1])
+    out_e, df_e, db_e, dx_e = expected
+    expected = (pack([o[:n] for o, n in zip(out_e, out_len)])[0], df_e, db_e,
+                pack([d[:n] for d, n in zip(dx_e, lengths)])[0])
     got = (out.data, f.grad, b_.grad, x.grad)
     errors = []
     for g, e in zip(got, expected):
-        e = e[0] if lift and g.ndim == 2 else e
         assert g.dtype == dtype and g.shape == e.shape
         errors.append(np.abs(g - e).max() / max(np.abs(e).max(), 1.0))
     return max(errors)
@@ -181,13 +195,12 @@ def test_conv_backward_is_bitwise_the_reference_at_default_layer_shapes(make, dt
     spec = make(20)
     frames = rng.integers(max(100, spec.min_frames), 601, size=32)
     for lengths, D, K, width in _default_conv_layers(spec, frames):
-        B, T = len(lengths), int(lengths.max())
-        x_data = rng.normal(size=(B, T, D)).astype(dtype)
-        x_data[np.arange(T)[None, :] >= lengths[:, None]] = 1e3
+        x_data = rng.normal(size=(int(lengths.sum()), D)).astype(dtype)
         x = parameter(x_data, dtype=dtype)
         f = parameter(rng.normal(size=(K, width, D)), dtype=dtype)
         b = parameter(rng.normal(size=K), dtype=dtype)
-        probe = rng.normal(size=(B, T - width + 1, K)).astype(dtype)
+        n_out = int(ops.conv_out_lengths(lengths, width).sum())
+        probe = rng.normal(size=(n_out, K)).astype(dtype)
         (ops.conv1d_valid(x, f, b, lengths=lengths) * Tensor(probe)).sum().backward()
         expected = reference_conv1d_backward(x_data, f.data, lengths, probe, dtype)
         got = {"bias": b.grad, "filters": f.grad, "input": x.grad}
@@ -197,14 +210,17 @@ def test_conv_backward_is_bitwise_the_reference_at_default_layer_shapes(make, dt
 
 
 def test_conv_padding_gets_no_gradient():
+    # packed, the frames next to an utterance are its neighbours': a loss
+    # on the second utterance's output sends none of them a gradient
     rng = np.random.default_rng(14)
     lens = np.array([5, 8])
-    x = parameter(rng.normal(size=(2, 8, 2)), dtype=np.float64)
+    x = parameter(rng.normal(size=(13, 2)), dtype=np.float64)
     f = parameter(rng.normal(size=(2, 3, 2)), dtype=np.float64)
     out = ops.conv1d_valid(x, f, np.zeros(2), lengths=lens)
     pooled = ops.max_over_time(out, lengths=ops.conv_out_lengths(lens, 3))
-    pooled.sum().backward()
-    assert np.all(x.grad[0, 5:] == 0.0)
+    (pooled * Tensor(np.array([[0.0, 0.0], [1.0, 1.0]]))).sum().backward()
+    assert np.all(x.grad[:5] == 0.0)
+    assert np.any(x.grad[5:] != 0.0)
 
 
 # -- max_pool1d -----------------------------------------------------------
@@ -258,35 +274,33 @@ def test_pool_gradients():
 
 def test_pool_masked_matches_per_row():
     rng = np.random.default_rng(23)
-    lens = np.array([4, 7])
-    batch = np.zeros((2, 7, 2))
-    rows = [rng.normal(size=(l, 2)) for l in lens]
-    for i, r in enumerate(rows):
-        batch[i, : lens[i]] = r
-    out = ops.max_pool1d(Tensor(batch, dtype=np.float64), 3, lengths=lens)
+    rows = [rng.normal(size=(l, 2)) for l in (4, 7)]
+    packed, lens = pack(rows)
+    out = ops.max_pool1d(Tensor(packed, dtype=np.float64), 3, lengths=lens)
     out_len = ops.pool_out_lengths(lens, 3)
-    for i, r in enumerate(rows):
-        assert np.array_equal(out.data[i, : out_len[i]], pool_oracle(r, 3))
-        assert np.all(out.data[i, out_len[i]:] == 0.0)
+    assert out.data.shape == (out_len.sum(), 2)
+    for got, r in zip(unpack(out.data, out_len), rows):
+        assert np.array_equal(got, pool_oracle(r, 3))
 
 
 def test_pool_ragged_batch_matches_per_row_and_pads_get_no_gradient():
+    # windows start at each utterance's first frame, so a large value in
+    # one utterance never wins a window of its neighbour's
     rng = np.random.default_rng(24)
     lens = np.array([13, 5, 9, 1, 11])
-    batch = rng.normal(size=(5, 13, 3))
-    batch[np.arange(13)[None, :] >= lens[:, None]] = 1e3   # padding must not win
-    x = parameter(batch, dtype=np.float64)
+    rows = [rng.normal(size=(n, 3)) + (1e3 if b % 2 else 0.0) for b, n in enumerate(lens)]
+    x = parameter(pack(rows)[0], dtype=np.float64)
     out = ops.max_pool1d(x, 4, lengths=lens)
     out_len = ops.pool_out_lengths(lens, 4)
     probe = rng.normal(size=out.data.shape)
     (out * Tensor(probe)).sum().backward()
-    for i, n in enumerate(lens):
-        assert np.array_equal(out.data[i, :out_len[i]], pool_oracle(batch[i, :n], 4))
-        assert np.all(out.data[i, out_len[i]:] == 0.0)
-        assert np.all(x.grad[i, n:] == 0.0)
-        # each valid window passes its probe value to exactly one frame
-        sums = np.add.reduceat(x.grad[i, :n], np.arange(0, n, 4), axis=0)
-        assert np.array_equal(sums, probe[i, :out_len[i]])
+    for r, got, grad, p in zip(rows, unpack(out.data, out_len), unpack(x.grad, lens),
+                               unpack(probe, out_len)):
+        assert np.array_equal(got, pool_oracle(r, 4))
+        # each window passes its probe value to exactly one of its frames
+        assert np.count_nonzero(grad) == np.count_nonzero(p)
+        sums = np.add.reduceat(grad, np.arange(0, len(r), 4), axis=0)
+        assert np.array_equal(sums, p)
 
 
 # -- max_over_time --------------------------------------------------------
@@ -297,9 +311,17 @@ def test_max_over_time_basic():
 
 
 def test_max_over_time_respects_lengths():
-    batch = np.array([[[1.0], [99.0]], [[3.0], [4.0]]])
-    out = ops.max_over_time(Tensor(batch), lengths=np.array([1, 2]))
-    assert np.array_equal(out.data, [[1.0], [4.0]])
+    packed = np.array([[1.0], [99.0], [4.0]])
+    out = ops.max_over_time(Tensor(packed), lengths=np.array([1, 2]))
+    assert np.array_equal(out.data, [[1.0], [99.0]])
+    out = ops.max_over_time(Tensor(packed), lengths=np.array([2, 1]))
+    assert np.array_equal(out.data, [[99.0], [4.0]])
+
+
+def test_max_over_time_gradient_goes_to_earliest_tie_of_each_utterance():
+    x = parameter(np.array([[5.0], [2.0], [5.0], [3.0], [7.0], [7.0]]), dtype=np.float64)
+    ops.max_over_time(x, lengths=[3, 3]).sum().backward()
+    assert np.array_equal(x.grad.ravel(), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def test_max_over_time_gradients():
@@ -374,15 +396,24 @@ def test_lse_gradients():
 
 def test_lse_masked_matches_per_row():
     rng = np.random.default_rng(43)
-    lens = np.array([3, 6])
-    batch = np.zeros((2, 6, 2))
-    rows = [rng.normal(size=(l, 2)) for l in lens]
-    for i, r in enumerate(rows):
-        batch[i, : lens[i]] = r
-    out = ops.logsumexp_pool(Tensor(batch, dtype=np.float64), 1.0, lengths=lens)
+    rows = [rng.normal(size=(l, 2)) for l in (3, 6)]
+    packed, lens = pack(rows)
+    out = ops.logsumexp_pool(Tensor(packed, dtype=np.float64), 1.0, lengths=lens)
+    assert out.data.shape == (2, 2)
     for i, r in enumerate(rows):
         single = ops.logsumexp_pool(Tensor(r, dtype=np.float64), 1.0)
         assert np.allclose(out.data[i], single.data, atol=1e-12)
+
+
+def test_lse_ragged_gradients():
+    rng = np.random.default_rng(44)
+    h = parameter(rng.normal(size=(11, 3)), dtype=np.float64)
+    probe = Tensor(rng.normal(size=(3, 3)))
+
+    def build():
+        return (ops.logsumexp_pool(h, 2.0, lengths=[4, 1, 6]) * probe).sum()
+
+    finite_diff(build, [h])
 
 
 # -- dense / activations --------------------------------------------------
@@ -460,8 +491,60 @@ def test_sigmoid_extremes_stay_finite():
 
 def test_lengths_validation():
     with pytest.raises(DataError):
-        ops.max_over_time(Tensor(np.zeros((2, 5, 1))), lengths=np.array([0, 5]))
+        ops.max_over_time(Tensor(np.zeros((10, 1))), lengths=np.array([0, 10]))
     with pytest.raises(DataError):
-        ops.max_over_time(Tensor(np.zeros((2, 5, 1))), lengths=np.array([6, 5]))
+        ops.max_over_time(Tensor(np.zeros((10, 1))), lengths=np.array([6, 5]))
     with pytest.raises(DataError):
-        ops.max_over_time(Tensor(np.zeros((2, 5, 1))), lengths=np.array([5]))
+        ops.max_over_time(Tensor(np.zeros((10, 1))), lengths=np.array([5]))
+    with pytest.raises(DataError):
+        ops.max_over_time(Tensor(np.zeros((10, 1))), lengths=np.array([[5, 5]]))
+    with pytest.raises(DataError):
+        ops.max_over_time(Tensor(np.zeros((2, 5, 1))), lengths=np.array([5, 5]))
+
+
+# -- packing --------------------------------------------------------------
+
+def _time_ops(lengths):
+    """Each time op at a fixed width, as f(packed x) -> (output Tensor,
+    output lengths), with one row block per utterance."""
+    conv_f = np.random.default_rng(61).normal(size=(4, 3, 5))
+    return {
+        "conv": lambda x: (ops.conv1d_valid(x, conv_f, np.ones(4), lengths=lengths),
+                           ops.conv_out_lengths(lengths, 3)),
+        "pool": lambda x: (ops.max_pool1d(x, 3, lengths=lengths),
+                           ops.pool_out_lengths(lengths, 3)),
+        "max": lambda x: (ops.max_over_time(x, lengths=lengths), np.ones_like(lengths)),
+        "lse": lambda x: (ops.logsumexp_pool(x, 1.5, lengths=lengths), np.ones_like(lengths)),
+    }
+
+
+@pytest.mark.parametrize("op", ["conv", "pool", "max", "lse"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_perturbing_one_utterance_leaves_the_others_bitwise(op, dtype):
+    rng = np.random.default_rng(62)
+    lengths = np.array([7, 3, 12, 4, 9])
+    x = rng.normal(size=(lengths.sum(), 5)).astype(dtype)
+    run = _time_ops(lengths)[op]
+    before, out_len = run(Tensor(x))
+    for b, start in enumerate(np.cumsum(lengths) - lengths):
+        y = x.copy()
+        y[start:start + lengths[b]] = rng.normal(size=(lengths[b], 5)) * 1e3
+        after, _ = run(Tensor(y))
+        blocks = zip(unpack(before.data, out_len), unpack(after.data, out_len))
+        for k, (old, new) in enumerate(blocks):
+            assert np.array_equal(old, new) == (k != b), (b, k)
+
+
+@pytest.mark.parametrize("op", ["conv", "pool", "max", "lse"])
+def test_packed_gradients_ragged(op):
+    # lengths 3 (the conv's minimum) and pool tails of 1, 2 and 3 frames
+    rng = np.random.default_rng(63)
+    lengths = np.array([3, 7, 5, 9])
+    x = parameter(rng.normal(size=(lengths.sum(), 5)), dtype=np.float64)
+    run = _time_ops(lengths)[op]
+    probe = Tensor(rng.normal(size=run(x)[0].data.shape))
+
+    def build():
+        return (run(x)[0] * probe).sum()
+
+    finite_diff(build, [x])
