@@ -2,10 +2,14 @@
 
 One binary, six subcommands: generate, features, train, score, eval,
 gradcheck. The pipeline is linear, so they share the config machinery: an
-optional JSON config file with one section per subcommand, overridden by
-flags. Every report carries the resolved config and the checksums of its
-inputs; none carries a timestamp, so strict-determinism runs are
-byte-reproducible.
+optional JSON config file with one section per subcommand. The argparse
+parser is the only schema: section "common" takes the global options but
+--config, each subcommand's section takes that subcommand's options (by
+their dest names), and "generate" also takes the fields of SynthConfig and
+VisionChannelConfig. File values become the parser's defaults, so a flag
+beats a file value and a file value beats a built-in default. Every report
+carries the config the run used and the checksums of its inputs; none
+carries a timestamp, so strict-determinism runs are byte-reproducible.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric failure.
@@ -28,23 +32,9 @@ from .errors import ConfigError, DataError, GkwError, NumericError
 
 log = logging.getLogger("gkw")
 
-_SUBCOMMANDS = ("generate", "features", "train", "score", "eval", "gradcheck")
-
-# flat option names accepted per config-file section; "generate" also takes
-# the fields of SynthConfig and VisionChannelConfig (`_check_keys`)
-_SECTION_KEYS = {
-    "common": {"seed", "threads", "strict_determinism", "precision"},
-    "generate": {"out"},
-    "features": {"out"},
-    "train": {
-        "arch", "targets", "target_file", "out", "learning_rate",
-        "batch_size", "epochs", "patience", "loss_log",
-    },
-    "score": {"split", "out", "emit_localization"},
-    "eval": {"mode", "split", "alpha", "keywords", "min_occurrences",
-             "semantic_map", "confusion", "out"},
-    "gradcheck": {"arch", "step", "corrupt"},
-}
+# options that set where a run writes or how many threads it takes, not
+# what it computes: left out of the config a report records
+_UNREPORTED = {"threads", "out", "loss_log"}
 
 
 def _positive_int(text):
@@ -52,6 +42,16 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
+
+
+class _AppendOverDefault(argparse._AppendAction):
+    """action="append" whose flags replace a default list, such as a config
+    file's, rather than extend it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def build_parser():
@@ -66,12 +66,12 @@ def build_parser():
                         help="BLAS/OpenMP thread cap (set before numpy loads)")
     parser.add_argument("--strict-determinism", action="store_true",
                         help="single-threaded BLAS; byte-reproducible outputs")
-    parser.add_argument("--precision", choices=("f32", "f64"), default=None,
-                        help="model arithmetic precision (default f32)")
-    sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
+                        help="model arithmetic precision (default %(default)s)")
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("generate", help="write a synthetic grounded corpus")
-    p.add_argument("--out", help="output directory (default corpus/)")
+    p.add_argument("--out", default="corpus", help="output directory (default %(default)s)")
 
     p = sub.add_parser("features", help="extract MFCC matrices from WAV files")
     p.add_argument("wavs", nargs="+", help="input .wav files")
@@ -79,12 +79,13 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model on a corpus manifest")
     p.add_argument("manifest", help="corpus manifest.jsonl")
-    p.add_argument("--arch", choices=("cnn", "psc"), default=None)
-    p.add_argument("--targets", choices=("oracle", "vision", "file"), default=None,
-                   help="supervision source (default vision)")
+    p.add_argument("--arch", choices=("cnn", "psc"), default="cnn",
+                   help="architecture (default %(default)s)")
+    p.add_argument("--targets", choices=("oracle", "vision", "file"), default="vision",
+                   help="supervision source (default %(default)s)")
     p.add_argument("--target-file", dest="target_file",
                    help="vision-target file for --targets file")
-    p.add_argument("--out", help="checkpoint path (default model.gkwm)")
+    p.add_argument("--out", default="model.gkwm", help="checkpoint path (default %(default)s)")
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=_positive_int)
     p.add_argument("--epochs", type=_positive_int)
@@ -95,39 +96,55 @@ def build_parser():
     p = sub.add_parser("score", help="score a split with a trained checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("manifest")
-    p.add_argument("--split", choices=("train", "dev", "test"), default=None)
-    p.add_argument("--out", help="score table path (default scores.tsv)")
-    p.add_argument("--emit-localization", dest="emit_localization",
-                   action="store_true", default=None,
+    p.add_argument("--split", choices=("train", "dev", "test"), default="test",
+                   help="split to score (default %(default)s)")
+    p.add_argument("--out", default="scores.tsv", help="score table path (default %(default)s)")
+    p.add_argument("--emit-localization", dest="emit_localization", action="store_true",
                    help="also write per-utterance activation matrices (psc only)")
 
     p = sub.add_parser("eval", help="evaluate a score table against a manifest")
     p.add_argument("scores", help="score table .tsv")
     p.add_argument("manifest")
-    p.add_argument("--mode", choices=("bow", "kws", "semantic-kws"), default=None)
-    p.add_argument("--split", choices=("train", "dev", "test"), default=None)
-    p.add_argument("--alpha", action="append", type=float, default=None,
+    p.add_argument("--mode", choices=("bow", "kws", "semantic-kws"), default="bow",
+                   help="evaluation (default %(default)s)")
+    p.add_argument("--split", choices=("train", "dev", "test"), default="test",
+                   help="split the score table covers (default %(default)s)")
+    p.add_argument("--alpha", action=_AppendOverDefault, type=float,
                    help="BoW decision threshold (repeatable)")
-    p.add_argument("--keywords", type=_positive_int, default=None,
+    p.add_argument("--keywords", type=_positive_int,
                    help="number of keywords to draw for spotting")
     p.add_argument("--min-occurrences", dest="min_occurrences", type=_positive_int,
                    help="minimum test-split occurrences for a keyword")
     p.add_argument("--semantic-map", dest="semantic_map",
                    help="JSON keyword relabelling map (semantic-kws mode)")
-    p.add_argument("--confusion", action="store_true", default=None,
+    p.add_argument("--confusion", action="store_true",
                    help="append a false-alarm co-occurrence report (bow mode)")
     p.add_argument("--out", help="report path (default stdout)")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of both backward passes")
-    p.add_argument("--arch", choices=("cnn", "psc", "both"), default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--corrupt", action="store_true", default=None,
-                   help=argparse.SUPPRESS)  # negative-control hook for tests
+    p.add_argument("--arch", choices=("cnn", "psc", "both"), default="both",
+                   help="architecture (default %(default)s)")
+    p.add_argument("--step", type=float)
 
     return parser
 
 
-def _load_config_file(path):
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _sections(parser):
+    """Config-file sections, each a map from option name (dest) to its
+    argparse action: "common" holds the parser's own options but --config,
+    and each subcommand's section holds its subparser's options."""
+    return {
+        name: {a.dest: a for a in p._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+        for name, p in {"common": parser, **_subparsers(parser)}.items()
+    }
+
+
+def _load_config_file(path, sections):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -138,7 +155,7 @@ def _load_config_file(path):
     if not isinstance(data, dict):
         raise ConfigError("config file must be a JSON object of sections")
     for section, values in data.items():
-        if section not in _SECTION_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be an object")
@@ -165,16 +182,13 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_options(parser, file_config):
+def _check_options(sections, file_config):
     """Refuse a config value that its command-line option would refuse: a
     JSON value of the wrong type, a count below 1, or a value outside the
     option's choices."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for section, values in file_config.items():
-        source = parser if section == "common" else subparsers.choices[section]
-        actions = {a.dest: a for a in source._actions}
         for key, value in values.items():
-            action = actions.get(key) if key in _SECTION_KEYS[section] else None
+            action = sections[section].get(key)
             if action is None:
                 continue  # a dataclass field or an unknown key: `_check_keys`
             if action.nargs == 0:
@@ -215,7 +229,7 @@ def _field_check(default):
             for edges in v.values()))
 
 
-def _check_keys(file_config):
+def _check_keys(sections, file_config):
     """Refuse unknown keys, and `generate` values whose type does not fit
     their config dataclass field. Imports the config dataclasses, and so
     numpy: call it only once the thread count is pinned."""
@@ -236,7 +250,7 @@ def _check_keys(file_config):
                 expected, ok = fields[key]
                 if not ok(value):
                     raise _bad_value(section, key, value, expected)
-            elif key not in _SECTION_KEYS[section]:
+            elif key not in sections[section]:
                 raise ConfigError(f"unknown key {key!r} in config section {section!r}")
 
 
@@ -252,31 +266,11 @@ def _given(args, *keys, **renamed):
     }
 
 
-def _merge(args, file_config):
-    """Flags beat file values beat built-in defaults."""
-    common = file_config.get("common", {})
-    for key in ("seed", "threads", "precision"):
-        if getattr(args, key, None) is None and key in common:
-            setattr(args, key, common[key])
-    if not args.strict_determinism and common.get("strict_determinism"):
-        args.strict_determinism = True
-    section = file_config.get(args.command, {})
-    for key, value in section.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
-
-
-def _resolved_config(args, keys):
-    out = {
-        "command": args.command,
-        "seed": args.seed,
-        "precision": args.precision or "f32",
-        "strict_determinism": bool(args.strict_determinism),
-    }
-    for key in sorted(keys):
-        out[key] = getattr(args, key, None)
-    return out
+def _resolved_config(args, sections):
+    """The options of this run's command and the common ones, with the
+    values the run used."""
+    keys = (sections["common"].keys() | sections[args.command].keys()) - _UNREPORTED
+    return {"command": args.command, **{key: getattr(args, key) for key in sorted(keys)}}
 
 
 def _checksum(path):
@@ -309,7 +303,7 @@ def _corpus(manifest_path):
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_generate(args):
+def cmd_generate(args, sections):
     from .synth import SynthConfig, corpus_stats, generate_corpus
     from .targets import VisionChannelConfig
 
@@ -327,7 +321,7 @@ def cmd_generate(args):
     config = dataclasses.replace(
         config, channel=dataclasses.replace(config.channel, **channel_kwargs)
     )
-    out_dir = Path(getattr(args, "out", None) or "corpus")
+    out_dir = Path(args.out)
     manifest = generate_corpus(config, out_dir)
     stats = corpus_stats(manifest)
     manifest_path = out_dir / "manifest.jsonl"
@@ -341,11 +335,11 @@ def cmd_generate(args):
     return 0
 
 
-def cmd_features(args):
+def cmd_features(args, sections):
     from .features import FeatureConfig, extract_mfcc, load_wav, write_features
 
     config = FeatureConfig()
-    out_dir = Path(args.out) if getattr(args, "out", None) else None
+    out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for wav in args.wavs:
@@ -365,17 +359,15 @@ def cmd_features(args):
 def _training_targets(args, manifest, vocab):
     from .targets import load_vision_targets, oracle_bow
 
-    mode = getattr(args, "targets", None) or "vision"
-    if mode == "oracle":
+    if args.targets == "oracle":
         return {
             utt_id: oracle_bow(tokens, vocab)
             for utt_id, tokens in manifest.transcriptions().items()
         }
-    if mode == "file":
-        path = getattr(args, "target_file", None)
-        if not path:
+    if args.targets == "file":
+        if not args.target_file:
             raise ConfigError("--targets file needs --target-file PATH")
-        return load_vision_targets(path, vocab)
+        return load_vision_targets(args.target_file, vocab)
     paths = manifest.target_paths()
     if not paths:
         raise DataError("manifest references no vision-target files; "
@@ -386,7 +378,7 @@ def _training_targets(args, manifest, vocab):
     return targets
 
 
-def cmd_train(args):
+def cmd_train(args, sections):
     import numpy as np
 
     from .models import TrainConfig, cnn_pool, psc, save_checkpoint, train
@@ -394,8 +386,7 @@ def cmd_train(args):
 
     manifest, vocab = _corpus(args.manifest)
     targets = _training_targets(args, manifest, vocab)
-    arch = getattr(args, "arch", None) or "cnn"
-    spec = (psc if arch == "psc" else cnn_pool)(len(vocab))
+    spec = (psc if args.arch == "psc" else cnn_pool)(len(vocab))
 
     train_ids = manifest.ids("train")
     dev_ids = manifest.ids("dev")
@@ -407,8 +398,8 @@ def cmd_train(args):
         **_given(args, "learning_rate", "batch_size", "epochs", "seed", "patience")
     )
 
-    out = Path(getattr(args, "out", None) or "model.gkwm")
-    loss_log = Path(getattr(args, "loss_log", None) or str(out) + ".losses.csv")
+    out = Path(args.out)
+    loss_log = Path(args.loss_log or str(out) + ".losses.csv")
     epochs = []
 
     def progress(epoch, train_loss, dev_loss):
@@ -417,7 +408,7 @@ def cmd_train(args):
 
     model, metadata = train(
         features, targets, train_ids, dev_ids, spec, config,
-        progress=progress, dtype=as_dtype(args.precision or "f32"),
+        progress=progress, dtype=as_dtype(args.precision),
     )
 
     with open(loss_log, "w", encoding="utf-8") as fh:
@@ -426,7 +417,7 @@ def cmd_train(args):
             fh.write(f"{epoch},{train_loss:.6f},{dev_loss:.6f}\n")
 
     metadata = dict(metadata)
-    metadata["config"] = _resolved_config(args, _SECTION_KEYS["train"] - {"out", "loss_log"})
+    metadata["config"] = _resolved_config(args, sections)
     metadata["inputs"] = {"manifest": _checksum(Path(args.manifest))}
     save_checkpoint(out, model, vocab.fingerprint(), metadata)
     best_dev = metadata["dev_loss"][metadata["best_epoch"] - 1]
@@ -435,7 +426,7 @@ def cmd_train(args):
     return 0
 
 
-def cmd_score(args):
+def cmd_score(args, sections):
     from .evaluation import ScoreTable
     from .features import write_features
     from .models import PSC, load_checkpoint, score_utterances
@@ -443,17 +434,16 @@ def cmd_score(args):
 
     manifest, vocab = _corpus(args.manifest)
     model, fingerprint, _ = load_checkpoint(
-        args.checkpoint, vocab=vocab, dtype=as_dtype(args.precision or "f32")
+        args.checkpoint, vocab=vocab, dtype=as_dtype(args.precision)
     )
-    localize = getattr(args, "emit_localization", None)
+    localize = args.emit_localization
     if localize and model.spec.variant != PSC:
         raise ConfigError("--emit-localization needs a psc checkpoint")
-    split = getattr(args, "split", None) or "test"
-    ids = manifest.ids(split)
+    ids = manifest.ids(args.split)
     if not ids:
-        raise DataError(f"manifest has no {split!r} utterances")
+        raise DataError(f"manifest has no {args.split!r} utterances")
     features = manifest.load_features(ids)
-    out = Path(getattr(args, "out", None) or "scores.tsv")
+    out = Path(args.out)
     on_map = None
     if localize:
         loc_dir = out.parent / (out.stem + ".localization")
@@ -470,7 +460,7 @@ def cmd_score(args):
     return 0
 
 
-def cmd_eval(args):
+def cmd_eval(args, sections):
     from .evaluation import (
         ScoreTable,
         average_precision,
@@ -485,19 +475,19 @@ def cmd_eval(args):
 
     manifest, vocab = _corpus(args.manifest)
     table = ScoreTable.load(args.scores, vocab=vocab)
-    split = getattr(args, "split", None) or "test"
-    transcriptions = manifest.transcriptions(split)
+    transcriptions = manifest.transcriptions(args.split)
     missing = [u for u in table.utt_ids if u not in transcriptions]
     if missing:
         raise DataError(
-            f"score table utterance {missing[0]!r} is not in the {split!r} split"
+            f"score table utterance {missing[0]!r} is not in the {args.split!r} split"
         )
     reference = build_reference({u: transcriptions[u] for u in table.utt_ids})
 
-    mode = getattr(args, "mode", None) or "bow"
+    mode = args.mode
+    args.alpha = args.alpha or [0.4, 0.7]
     report = {
         "mode": mode,
-        "config": _resolved_config(args, _SECTION_KEYS["eval"] - {"out"}),
+        "config": _resolved_config(args, sections),
         "inputs": {
             "scores": _checksum(Path(args.scores)),
             "manifest": _checksum(Path(args.manifest)),
@@ -505,7 +495,7 @@ def cmd_eval(args):
     }
 
     if mode == "bow":
-        alphas = getattr(args, "alpha", None) or [0.4, 0.7]
+        alphas = args.alpha
         for alpha in alphas:
             if not 0.0 <= alpha <= 1.0:
                 raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
@@ -520,7 +510,7 @@ def cmd_eval(args):
             }
         report["alpha"] = operating
         report["average_precision"] = average_precision(table, reference)
-        if getattr(args, "confusion", None):
+        if args.confusion:
             rows = confusion_report(table, reference, min(alphas))
             report["confusion"] = [list(r) for r in rows[:50]]
     else:
@@ -529,7 +519,7 @@ def cmd_eval(args):
         )
         semantic_map = None
         if mode == "semantic-kws":
-            path = getattr(args, "semantic_map", None)
+            path = args.semantic_map
             if not path:
                 default = manifest.root / "semantic_map.json"
                 if not default.exists():
@@ -541,22 +531,18 @@ def cmd_eval(args):
             semantic_map = load_semantic_map(path)
         report.update(keyword_spot(table, keywords, reference, semantic_map=semantic_map))
 
-    _write_report(getattr(args, "out", None), report)
+    _write_report(args.out, report)
     return 0
 
 
-def cmd_gradcheck(args):
+def cmd_gradcheck(args, sections):
     from .models import CNN_POOL, PSC, gradient_check, toy_spec
 
-    arch = getattr(args, "arch", None) or "both"
-    variants = {"cnn": (CNN_POOL,), "psc": (PSC,), "both": (CNN_POOL, PSC)}[arch]
+    variants = {"cnn": (CNN_POOL,), "psc": (PSC,), "both": (CNN_POOL, PSC)}[args.arch]
     worst = 0.0
     failed = False
     for variant in variants:
-        max_rel, name = gradient_check(
-            toy_spec(variant), **_given(args, "seed", "step"),
-            corrupt=bool(getattr(args, "corrupt", None)),
-        )
+        max_rel, name = gradient_check(toy_spec(variant), **_given(args, "seed", "step"))
         status = "ok" if max_rel <= 1e-6 else "FAIL"
         print(f"{variant}: max relative error {max_rel:.3e} ({name}) {status}")
         worst = max(worst, max_rel)
@@ -604,16 +590,21 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
 
+    sections = _sections(parser)
     try:
-        file_config = _load_config_file(args.config) if args.config else {}
-        _check_options(parser, file_config)
-        args = _merge(args, file_config)
+        file_config = _load_config_file(args.config, sections) if args.config else {}
+        _check_options(sections, file_config)
+        if file_config:
+            # file values become defaults; parsing again puts the flags over them
+            parser.set_defaults(**file_config.get("common", {}))
+            _subparsers(parser)[args.command].set_defaults(**file_config.get(args.command, {}))
+            args = parser.parse_args(argv)
         if args.strict_determinism:
             _pin_threads(1)
-        elif getattr(args, "threads", None):
+        elif args.threads:
             _pin_threads(args.threads)
-        _check_keys(file_config)
-        return _HANDLERS[args.command](args)
+        _check_keys(sections, file_config)
+        return _HANDLERS[args.command](args, sections)
     except ConfigError as err:
         print(f"gkw: configuration error: {err}", file=sys.stderr)
         return 1

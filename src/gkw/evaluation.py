@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, open_text
-from .targets import Vocabulary
+from .targets import Vocabulary, format_prob
 
 
 @dataclass
@@ -44,13 +44,10 @@ class ScoreTable:
             raise DataError("scores must lie in [0, 1]")
 
     def save(self, path):
-        def fmt(v):
-            return np.format_float_positional(np.float32(v), unique=True)
-
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("utt_id\t" + ",".join(self.vocab.words) + "\n")
             for utt_id, row in zip(self.utt_ids, self.scores):
-                fh.write(utt_id + "\t" + ",".join(fmt(v) for v in row) + "\n")
+                fh.write(utt_id + "\t" + ",".join(map(format_prob, row)) + "\n")
 
     @classmethod
     def load(cls, path, vocab=None):

@@ -254,7 +254,8 @@ class SpeechModel:
         return list(self.params.items())
 
     def forward(self, features, lengths=None, return_scores=False):
-        """Features (B, T, D) with valid `lengths`, or a single (T, D) matrix.
+        """Features (B, T, D) with valid `lengths`, or a single (T, D) matrix
+        without them.
 
         The batch is packed on entry: utterance b's first lengths[b] frames,
         the utterances back to back, with no padding (see `ops`). Returns the
@@ -270,8 +271,9 @@ class SpeechModel:
             )
         x = np.asarray(features, dtype=self.dtype)
         if x.ndim == 2:
+            if lengths is not None:
+                raise DataError(f"lengths given with a single (T, D) utterance: {lengths}")
             x = x[None]
-            lengths = None
         if x.ndim != 3:
             raise DataError(f"features must be (T, D) or (B, T, D), got {x.shape}")
         B, T, D = x.shape
@@ -450,6 +452,15 @@ def _length_ordered_batches(feature_map, ids, batch_size, dtype):
         yield rows, chunk, batch, lengths
 
 
+def _check_min_frames(spec, feature_map, ids):
+    for utt_id in ids:
+        if len(feature_map[utt_id]) < spec.min_frames:
+            raise InvalidInputError(
+                f"utterance {utt_id!r} has {len(feature_map[utt_id])} frames; "
+                f"the {spec.variant} architecture needs at least {spec.min_frames}"
+            )
+
+
 def _epoch_loss(model, feature_map, target_map, ids, batch_size):
     total = 0.0
     with no_grad():
@@ -491,11 +502,7 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
                 f"utterance {utt_id!r}: target dimension "
                 f"{target_map[utt_id].shape} != ({spec.vocab_size},)"
             )
-        if len(feature_map[utt_id]) < spec.min_frames:
-            raise InvalidInputError(
-                f"utterance {utt_id!r} has {len(feature_map[utt_id])} frames; "
-                f"the {spec.variant} architecture needs at least {spec.min_frames}"
-            )
+    _check_min_frames(spec, feature_map, [*train_ids, *dev_ids])
 
     lr = config.resolve_lr(spec.variant)
     model = SpeechModel(spec, seed=config.seed, dtype=dtype)
@@ -570,6 +577,7 @@ def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
     on_map(utt_id, h): a view into the batch, valid only during the call.
     The calls come in (length, id) order.
     """
+    _check_min_frames(model.spec, feature_map, ids)
     out = np.zeros((len(ids), model.spec.vocab_size), dtype=np.float32)
     with no_grad():
         for rows, chunk, batch, lengths in _length_ordered_batches(
@@ -696,14 +704,12 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
 
 # -- gradient checking -------------------------------------------------------------
 
-def gradient_check(spec, seed=0, step=1e-5, frames=None, corrupt=False):
+def gradient_check(spec, seed=0, step=1e-5, frames=None):
     """Central-difference check of every parameter gradient at 64-bit.
 
     `frames` is the input's length, or a sequence of lengths for a ragged
     batch (default: one utterance of spec.min_frames + 6 frames). Returns
-    (max relative error, worst parameter name). `corrupt` deliberately
-    scales one analytic gradient, a negative control proving the check can
-    fail.
+    (max relative error, worst parameter name).
     """
     if not step > 0:
         raise ConfigError(f"finite-difference step must be > 0, got {step}")
@@ -725,9 +731,6 @@ def gradient_check(spec, seed=0, step=1e-5, frames=None, corrupt=False):
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in model.parameters()
     }
-    if corrupt:
-        first = next(iter(analytic))
-        analytic[first] = analytic[first] * 1.5 + 1e-3
 
     worst = 0.0
     worst_name = ""

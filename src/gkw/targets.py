@@ -98,7 +98,8 @@ def oracle_bow(tokens, vocab):
 
 # -- vision-target files ----------------------------------------------------
 
-def _format_prob(p):
+def format_prob(p):
+    """Shortest decimal text that reads back as the same float32."""
     return np.format_float_positional(np.float32(p), unique=True)
 
 
@@ -113,7 +114,7 @@ def write_vision_targets(path, targets, vocab):
         for utt_id in sorted(targets):
             vec = targets[utt_id]
             pairs = [
-                f"{vocab.words[i]}:{_format_prob(vec[i])}"
+                f"{vocab.words[i]}:{format_prob(vec[i])}"
                 for i in range(len(vocab))
                 if vec[i] != 0.0
             ]

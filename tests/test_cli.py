@@ -1,5 +1,6 @@
 """Command-line pipeline, run in-process through cli.main()."""
 
+import argparse
 import json
 import hashlib
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkw import cli
+from gkw import cli, models
 from gkw.evaluation import ScoreTable
 from gkw.features import read_features, write_features
 from gkw.models import (
@@ -155,6 +156,57 @@ def test_wrong_config_value_type_fails_before_any_work(tmp_path, capsys, section
     config = write_config(tmp_path, **{section: values})
     assert cli.main(["--config", str(config), "generate"]) == 1
     assert repr(next(iter(values))) in capsys.readouterr().err
+
+
+def _parsers():
+    """The top-level parser as "common", and each subcommand's parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"common": parser, **sub.choices}
+
+
+def _option_cases():
+    for section, parser in _parsers().items():
+        for action in parser._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                yield pytest.param(section, action, id=f"{section}.{action.dest}")
+
+
+@pytest.mark.parametrize("section, action", _option_cases())
+def test_every_option_is_a_config_key_and_typed(tmp_path, capsys, monkeypatch,
+                                                section, action):
+    if action.nargs == 0:
+        good, bad = True, "x"
+    elif action.choices:
+        good, bad = action.choices[0], "x"
+    elif action.type is None:
+        good, bad = "x", 5
+    else:
+        good, bad = action.type("1"), "x"
+    if isinstance(action, argparse._AppendAction):
+        good = [good]
+    monkeypatch.setattr(cli, "_pin_threads", lambda count: None)
+    config = tmp_path / "config.json"
+    argv = ["--config", str(config), "score", str(tmp_path / "none.gkwm"),
+            str(tmp_path / "none.jsonl")]
+    config.write_text(json.dumps({section: {action.dest: good}}))
+    assert cli.main(argv) == 2  # accepted; the missing manifest is a data error
+    assert "none.jsonl" in capsys.readouterr().err
+    config.write_text(json.dumps({section: {action.dest: bad}}))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(action.dest) in err
+
+
+@pytest.mark.parametrize("command", list(_parsers()))
+def test_help_renders_and_shows_the_defaults(capsys, command):
+    argv = ["--help"] if command == "common" else [command, "--help"]
+    assert cli.main(argv) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = [a.default for a in _parsers()[command]._actions
+                if a.default not in (None, False, argparse.SUPPRESS)]
+    for default in defaults:
+        assert f"(default {default})" in text
 
 
 def test_unknown_section_rejected(tmp_path, capsys):
@@ -343,6 +395,42 @@ def test_eval_semantic_with_map(pipeline, tmp_path, capsys):
     assert json.loads(out.read_text())["mode"] == "semantic"
 
 
+def test_report_and_checkpoint_record_the_defaults_used(pipeline, tmp_path, capsys):
+    src_path, config, manifest = pipeline
+    checkpoint = tmp_path / "vision.gkwm"
+    assert cli.main(["--config", str(config), "train", str(manifest),
+                     "--epochs", "1", "--out", str(checkpoint)]) == 0
+    _, _, metadata = load_checkpoint(checkpoint)
+    assert metadata["config"]["targets"] == "vision"
+    assert metadata["config"]["arch"] == "psc"  # the config file's value
+    assert metadata["config"]["precision"] == "f32"
+    out = tmp_path / "bow.json"
+    assert cli.main(["eval", str(src_path / "scores.tsv"), str(manifest),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert set(report["config"]) == {
+        "command", "seed", "precision", "strict_determinism", "mode", "split",
+        "alpha", "keywords", "min_occurrences", "semantic_map", "confusion"}
+    assert report["config"]["mode"] == "bow"
+    assert report["config"]["split"] == "test"
+    assert report["config"]["alpha"] == [0.4, 0.7]
+    assert set(report["alpha"]) == {"0.4", "0.7"}
+
+
+def test_alpha_flag_replaces_the_config_file_list(pipeline, tmp_path, capsys):
+    src_path, _, manifest = pipeline
+    config = write_config(tmp_path, eval={"alpha": [0.5]})
+    out = tmp_path / "bow.json"
+    for flags, alphas in (([], [0.5]), (["--alpha", "0.6"], [0.6])):
+        assert cli.main(["--config", str(config), "eval", str(src_path / "scores.tsv"),
+                         str(manifest), *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["alpha"] == alphas
+        assert list(report["alpha"]) == [f"{a:g}" for a in alphas]
+    capsys.readouterr()
+
+
 def test_eval_alpha_out_of_range(pipeline, capsys):
     src_path, config, manifest = pipeline
     code = cli.main(["--config", str(config), "eval",
@@ -393,8 +481,9 @@ def test_gradcheck_zero_step_is_config_error(capsys):
     assert "step" in capsys.readouterr().err
 
 
-def test_gradcheck_corrupted_fails(capsys):
-    assert cli.main(["gradcheck", "--arch", "cnn", "--corrupt"]) == 3
+def test_gradcheck_corrupted_fails(monkeypatch, capsys):
+    monkeypatch.setattr(models, "gradient_check", lambda spec, **kwargs: (0.5, "conv1.filters"))
+    assert cli.main(["gradcheck", "--arch", "cnn"]) == 3
     err = capsys.readouterr()
     assert "FAIL" in err.out
 

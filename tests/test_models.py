@@ -183,6 +183,9 @@ def test_forward_refuses_lengths_outside_the_batch():
     for lengths in ([60, 61], [60], [0, 60]):
         with pytest.raises(DataError, match="lengths"):
             model.forward(batch, lengths)
+    # a (T, D) matrix is one utterance; the ops would read it as two packed
+    with pytest.raises(DataError, match="lengths"):
+        model.forward(batch[0], [30, 30])
 
 
 def test_psc_localization_consistency():
@@ -414,6 +417,17 @@ def test_train_divergence_reports_epoch_and_batch():
     assert named, str(info.value)
     batch = named.group(1).split(", ")
     assert len(batch) == 2 and set(batch) <= set(ids[:6])
+
+
+def test_score_utterances_names_a_too_short_utterance():
+    spec = toy_spec("cnn-pool")
+    model = SpeechModel(spec, seed=0)
+    feats = {
+        "utt-long": np.zeros((spec.min_frames + 74, 8), dtype=np.float32),
+        "utt-short": np.zeros((spec.min_frames - 1, 8), dtype=np.float32),
+    }
+    with pytest.raises(InvalidInputError, match="'utt-short' has"):
+        score_utterances(model, feats, ["utt-long", "utt-short"])
 
 
 def test_score_utterances_matches_predict():
@@ -688,7 +702,16 @@ def test_gradient_check_refuses_zero_step():
         gradient_check(toy_spec("psc"), step=0.0)
 
 
-def test_gradient_check_negative_control():
-    err, worst = gradient_check(toy_spec("psc"), seed=0, corrupt=True)
+def test_gradient_check_negative_control(monkeypatch):
+    def relu_without_mask(x):  # right forward, wrong backward
+        out = Tensor(np.maximum(x.data, 0.0), _parents=(x,), _op="relu")
+
+        def backward():
+            x.accumulate_grad(out.grad)
+        out._backward = backward
+        return out
+
+    monkeypatch.setattr(ops, "relu", relu_without_mask)
+    err, worst = gradient_check(toy_spec("psc"), seed=0)
     assert err > 1e-6
     assert worst
