@@ -10,7 +10,11 @@ convolution drops every output row whose window straddles a boundary
 between two utterances, and a pool starts its windows at each utterance's
 first frame, so no utterance's output or gradient depends on another's
 frames: a model's output on an utterance does not depend on what shares
-its batch.
+its batch. A convolution runs its taps over the whole packed matrix and
+then drops the straddling rows; where these are more than a quarter of its
+rows and it has more filters than input channels (short utterances, wide
+windows, many filters: cnn-pool's conv3), it computes only the rows it
+keeps.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
@@ -83,6 +87,19 @@ def _segment_rows(starts, counts, step=1):
     return np.repeat(starts, counts) + step * within
 
 
+def _taps_over_kept_rows(kept, flat, channels, filters):
+    """Whether a convolution runs its taps over its `kept` output rows only
+    instead of all `flat` = N - width + 1 window rows: when fewer than 3/4
+    of the flat rows are kept and the layer has more filters than input
+    channels. The kept-row taps copy the kept input rows (`channels` values
+    each) to skip the dropped output rows (`filters` values each), so they
+    pay only when most windows straddle two utterances and each output row
+    costs more than the copy of an input row. With few filters the copies
+    cost more than they save: at 96 -> 6 and 96 -> 20 channels, keeping
+    60% of the rows, both passes were slower than the flat taps."""
+    return 4 * kept < 3 * flat and filters > channels
+
+
 def conv1d_valid(x, filters, bias, lengths=None):
     """Valid 1-D convolution over time, stride 1.
 
@@ -98,17 +115,27 @@ def conv1d_valid(x, filters, bias, lengths=None):
     (Chellapilla et al. 2006 without the im2col copy). Flat row r is the
     window that starts at input row r. The width - 1 rows before each
     utterance boundary hold windows that straddle it; one row gather drops
-    them, so the next layer gets a packed matrix again. Every kept element is
-    the same inner product as in a per-utterance GEMM (inner dimension D),
-    with the taps added in the same order, so packing only turns B small
-    GEMMs per tap into one tall one, and at the default models' layer sizes
-    the result is bitwise that of one GEMM per utterance. BLAS libraries
-    switch to other kernels for small products (OpenBLAS below roughly 1e5
-    multiply-adds per row, e.g. a 6-word psc output layer on short
-    utterances, or 1-3 output frames per utterance), and those can round the
-    last bit differently. The forward pass builds no (N, width*D) column
-    matrix: for long inputs and few filters it would be many times the
-    input's size.
+    them, so the next layer gets a packed matrix again. Where fewer than 3/4
+    of the flat rows are kept and there are more filters than input
+    channels (`_taps_over_kept_rows`), the taps skip the straddling rows
+    instead: out += x[keep + i] @ filters[:, i].T over the kept rows `keep`
+    only. Of the default models' layers in training only cnn-pool's conv3
+    (256 -> 1024, width 11, about 18 frames per utterance) does so; it
+    keeps under half its flat rows, and its forward went from about 26 to
+    15 ms (B=32, float32, 2-core Xeon). The other layers keep 85% or more
+    and stay on the flat taps, which copy nothing. Both paths give every
+    kept element the same inner product as a per-utterance GEMM (inner
+    dimension D), with the taps added in the same order, so packing only
+    turns B small GEMMs per tap into one tall one, and at the default
+    models' layer sizes the result is bitwise that of one GEMM per
+    utterance, on either path. BLAS libraries switch to other kernels for
+    small products (OpenBLAS below roughly 1e5 multiply-adds per row, e.g.
+    a 6-word psc output layer on short utterances, or 1-3 output frames per
+    utterance; its float32 kernels for a filter count that is not a
+    multiple of 4 also round by row count), and those can round the last
+    bit differently. The forward pass builds
+    no (N, width*D) column matrix: for long inputs and few filters it would
+    be many times the input's size.
 
     Backward: the filter gradient is one GEMM, g.T @ win, over the
     (N_out, width*D) window matrix of the kept rows: row j is the window of
@@ -122,9 +149,13 @@ def conv1d_valid(x, filters, bias, lengths=None):
     last (width*D mod 8) columns with an edge kernel that sums differently,
     while its sgemm rounds every column alike, so float64 keeps the d-major
     order to stay bitwise (the 39-channel first layer has 351 columns). The
-    input gradient runs the forward's per-tap GEMMs in reverse over the
-    output gradient scattered back to the flat rows, where the straddling
-    rows get zero.
+    input gradient runs the forward's per-tap GEMMs in reverse, in tap
+    order, on the path the forward took. The flat taps take the output
+    gradient scattered back to the flat rows, where the straddling rows get
+    zero; the kept-row taps add gx[keep + i] += g @ filters[:, i] straight
+    from the kept rows (about 21 -> 12 ms at conv3's shape). Adding the zero
+    rows changes no sum, so at the default models' shapes both paths give
+    the same bits.
     """
     x, lengths, rows = _packed(x, lengths)
     filters = _as_tensor(filters)
@@ -145,15 +176,21 @@ def conv1d_valid(x, filters, bias, lengths=None):
         )
 
     n = N - width + 1
-    flat = x.data[:n] @ filters.data[:, 0, :].T
-    for i in range(1, width):
-        flat += x.data[i:i + n] @ filters.data[:, i, :].T
     out_len = conv_out_lengths(lengths, width)
+    N_out = int(out_len.sum())
     keep = _segment_rows(_offsets(lengths), out_len) if len(lengths) > 1 else None
-    out_data = flat if keep is None else flat[keep]
-    del flat
+    kept_only = _taps_over_kept_rows(N_out, n, D, K)
+    if kept_only:
+        out_data = x.data[keep] @ filters.data[:, 0, :].T
+        for i in range(1, width):
+            out_data += x.data[keep + i] @ filters.data[:, i, :].T
+    else:
+        flat = x.data[:n] @ filters.data[:, 0, :].T
+        for i in range(1, width):
+            flat += x.data[i:i + n] @ filters.data[:, i, :].T
+        out_data = flat if keep is None else flat[keep]
+        del flat
     out_data += bias.data
-    N_out = len(out_data)
 
     out = Tensor(out_data, _parents=(x, filters, bias), _op="conv1d")
     if out.requires_grad:
@@ -174,14 +211,18 @@ def conv1d_valid(x, filters, bias, lengths=None):
                 filters.accumulate_grad(gf)
                 del gf  # before the input gradient allocates: lower peak RSS
             if x.requires_grad:
-                if keep is None:
-                    g_flat = g
-                else:
-                    g_flat = np.zeros((n, K), dtype=g.dtype)
-                    g_flat[keep] = g
                 gx = np.zeros((N, D), dtype=x.data.dtype)
-                for i in range(width):
-                    gx[i:i + n] += g_flat @ filters.data[:, i, :]
+                if kept_only:
+                    for i in range(width):
+                        gx[keep + i] += g @ filters.data[:, i, :]
+                else:
+                    if keep is None:
+                        g_flat = g
+                    else:
+                        g_flat = np.zeros((n, K), dtype=g.dtype)
+                        g_flat[keep] = g
+                    for i in range(width):
+                        gx[i:i + n] += g_flat @ filters.data[:, i, :]
                 x.accumulate_grad(gx)
         out._backward = backward
     return out.reshape(rows, -1, K) if rows else out
@@ -232,9 +273,8 @@ def max_over_time(x, lengths=None):
     out = Tensor(val, _parents=(x,), _op="max_over_time")
     if out.requires_grad:
         def backward():
-            N = len(x.data)
-            hit = x.data == np.repeat(val, lengths, axis=0)
-            first = np.minimum.reduceat(np.where(hit, np.arange(N)[:, None], N), starts, axis=0)
+            first = np.stack([s + x.data[s:s + n].argmax(axis=0)
+                              for s, n in zip(starts, lengths)])
             gx = np.zeros_like(x.data)
             np.put_along_axis(gx, first, out.grad, axis=0)
             x.accumulate_grad(gx)

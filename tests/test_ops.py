@@ -209,6 +209,86 @@ def test_conv_backward_is_bitwise_the_reference_at_default_layer_shapes(make, dt
             assert np.array_equal(g, want), f"{name} gradient, {D}->{K} width {width}"
 
 
+TRAINING_FRAMES = (128, 259)  # the default corpus's training utterances
+
+
+def _training_batches():
+    """Frame counts of B = 32 training utterances: three random draws from
+    the training range, plus all-shortest and all-longest."""
+    rng = np.random.default_rng(43)
+    lo, hi = TRAINING_FRAMES
+    draws = [rng.integers(lo, hi + 1, size=32) for _ in range(3)]
+    return draws + [np.full(32, lo), np.full(32, hi)]
+
+
+def _takes_kept_rows(lengths, D, K, width):
+    n = int(lengths.sum()) - width + 1
+    return ops._taps_over_kept_rows(int(ops.conv_out_lengths(lengths, width).sum()), n, D, K)
+
+
+@pytest.mark.parametrize("make", [cnn_pool, psc])
+def test_only_cnn_pool_conv3_takes_the_kept_row_path(make):
+    # the kept-row taps were slower at psc's shapes; a later edit of the
+    # rule must not move psc, or cnn-pool's longer layers, onto them
+    spec = make(20)
+    for frames in _training_batches():
+        layers = _default_conv_layers(spec, frames)
+        taken = [_takes_kept_rows(*layer) for layer in layers]
+        expected = [make is cnn_pool and i == 2 for i in range(len(layers))]
+        assert taken == expected, f"{spec.variant} on {frames.min()}-{frames.max()} frames"
+
+
+def test_short_layer_with_few_filters_keeps_the_flat_taps():
+    # psc(6)'s 96 -> 6 output layer on 64-frame utterances keeps 58% of its
+    # flat rows, but with 6 filters the row copies cost more than they save
+    lengths, D, K, width = _default_conv_layers(psc(6), np.full(8, 64))[-1]
+    assert (D, K) == (96, 6) and 4 * (lengths - width + 1).sum() < 3 * (lengths.sum() - width + 1)
+    assert not _takes_kept_rows(lengths, D, K, width)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
+    # B = 32 training utterances as they reach conv3 (256 -> 1024, width 11):
+    # the packed forward is bitwise that of each utterance on its own (a lone
+    # utterance takes the flat path), and the gradients that of the reference.
+    # A lone utterance with one output row is a one-row product, which BLAS
+    # runs with another kernel that rounds the last bit differently, so those
+    # match to the oracle tolerance only.
+    rng = np.random.default_rng(44)
+    frames = rng.integers(TRAINING_FRAMES[0], TRAINING_FRAMES[1] + 1, size=32)
+    lengths, D, K, width = _default_conv_layers(cnn_pool(20), frames)[2]
+    assert (D, K, width) == (256, 1024, 11) and _takes_kept_rows(lengths, D, K, width)
+    x_data = rng.normal(size=(int(lengths.sum()), D)).astype(dtype)
+    x = parameter(x_data, dtype=dtype)
+    f = parameter(rng.normal(size=(K, width, D)), dtype=dtype)
+    b = parameter(rng.normal(size=K), dtype=dtype)
+    out = ops.conv1d_valid(x, f, b, lengths=lengths)
+    assert out.data.dtype == dtype
+    out_len = ops.conv_out_lengths(lengths, width)
+    assert (out_len > 1).sum() >= 24
+    tol = dict(CONV_TOLERANCES)[dtype]
+    for u, got in zip(unpack(x_data, lengths), unpack(out.data, out_len)):
+        alone = ops.conv1d_valid(Tensor(u, dtype=dtype), f.data, b.data).data
+        if len(got) > 1:
+            assert np.array_equal(got, alone)
+        else:
+            assert np.abs(got - alone).max() <= tol * np.abs(alone).max()
+    probe = rng.normal(size=out.data.shape).astype(dtype)
+    (out * Tensor(probe)).sum().backward()
+    expected = reference_conv1d_backward(x_data, f.data, lengths, probe, dtype)
+    for name, g, want in zip(("bias", "filters", "input"), (b.grad, f.grad, x.grad), expected):
+        assert g.dtype == dtype and np.array_equal(g, want), f"{name} gradient"
+
+
+def test_conv_one_kept_row_per_utterance_matches_oracle():
+    # every utterance exactly `width` frames long: one output row each, so
+    # nearly every window straddles two utterances
+    rng = np.random.default_rng(45)
+    B, D, K, width = 8, 5, 6, 4
+    assert _takes_kept_rows(np.full(B, width), D, K, width)
+    assert _conv_against_oracle(rng, [width] * B, width, D, K, width, np.float64) <= 1e-12
+
+
 def test_conv_padding_gets_no_gradient():
     # packed, the frames next to an utterance are its neighbours': a loss
     # on the second utterance's output sends none of them a gradient
@@ -322,6 +402,22 @@ def test_max_over_time_gradient_goes_to_earliest_tie_of_each_utterance():
     x = parameter(np.array([[5.0], [2.0], [5.0], [3.0], [7.0], [7.0]]), dtype=np.float64)
     ops.max_over_time(x, lengths=[3, 3]).sum().backward()
     assert np.array_equal(x.grad.ravel(), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
+
+def test_max_over_time_gradient_goes_to_earliest_tie_in_many_columns():
+    # few distinct values, so most columns of every ragged utterance tie
+    rng = np.random.default_rng(46)
+    lengths = np.array([5, 1, 9, 3, 7, 2])
+    data = rng.integers(0, 3, size=(int(lengths.sum()), 40)).astype(np.float64)
+    x = parameter(data, dtype=np.float64)
+    probe = rng.normal(size=(len(lengths), 40))
+    (ops.max_over_time(x, lengths=lengths) * Tensor(probe)).sum().backward()
+    expected = np.zeros_like(data)
+    for b, (s, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+        for k in range(40):
+            col = data[s:s + n, k]
+            expected[s + next(t for t in range(n) if col[t] == col.max()), k] = probe[b, k]
+    assert np.array_equal(x.grad, expected)
 
 
 def test_max_over_time_gradients():
