@@ -109,8 +109,8 @@ def build_parser():
                    help="evaluation (default %(default)s)")
     p.add_argument("--split", choices=("train", "dev", "test"), default="test",
                    help="split the score table covers (default %(default)s)")
-    p.add_argument("--alpha", action=_AppendOverDefault, type=float,
-                   help="BoW decision threshold (repeatable)")
+    p.add_argument("--alpha", action=_AppendOverDefault, type=float, default=[0.4, 0.7],
+                   help="BoW decision threshold, repeatable (default %(default)s)")
     p.add_argument("--keywords", type=_positive_int,
                    help="number of keywords to draw for spotting")
     p.add_argument("--min-occurrences", dest="min_occurrences", type=_positive_int,
@@ -484,7 +484,6 @@ def cmd_eval(args, sections):
     reference = build_reference({u: transcriptions[u] for u in table.utt_ids})
 
     mode = args.mode
-    args.alpha = args.alpha or [0.4, 0.7]
     report = {
         "mode": mode,
         "config": _resolved_config(args, sections),

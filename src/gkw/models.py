@@ -203,52 +203,54 @@ def toy_spec(variant, vocab_size=3, input_dim=8):
 
 # -- the model ----------------------------------------------------------------
 
+def _parameter_layout(spec):
+    """(name, shape, initial limit) of each parameter of `spec`, in
+    declaration order; a bias starts at zero and has limit None."""
+    d = spec.input_dim
+    conv_i = dense_i = 0
+    for layer in spec.layers:
+        if layer[0] == "conv":
+            _, width, filters, activation = layer
+            conv_i += 1
+            limit = _init_limit(activation, width * d, width * filters)
+            yield f"conv{conv_i}.filters", (filters, width, d), limit
+            yield f"conv{conv_i}.bias", (filters,), None
+            d = filters
+        elif layer[0] == "dense":
+            _, units, activation = layer
+            dense_i += 1
+            yield f"dense{dense_i}.weights", (units, d), _init_limit(activation, d, units)
+            yield f"dense{dense_i}.bias", (units,), None
+            d = units
+
+
+def _init_limit(activation, fan_in, fan_out):
+    # He-uniform ahead of ReLU, Glorot-uniform for linear/sigmoid
+    if activation == "relu":
+        return np.sqrt(6.0 / fan_in)
+    return np.sqrt(6.0 / (fan_in + fan_out))
+
+
 class SpeechModel:
     """Parameter store plus the forward pass for one ArchitectureSpec."""
 
-    def __init__(self, spec, seed=0, dtype=np.float32):
+    def __init__(self, spec, seed=0, dtype=np.float32, arrays=None):
+        """A seeded initialisation, or with `arrays` (name -> array of the
+        parameter's shape and `dtype`) a model that holds those arrays
+        themselves and draws nothing."""
         self.spec = spec
         self.dtype = dtype
         self.params = {}
         self.last_time_extents = []
-        rng = np.random.default_rng(seed)
-        d = spec.input_dim
-        conv_i = dense_i = 0
-        for layer in spec.layers:
-            if layer[0] == "conv":
-                _, width, filters, activation = layer
-                conv_i += 1
-                fan_in, fan_out = width * d, width * filters
-                limit = self._limit(activation, fan_in, fan_out)
-                self.params[f"conv{conv_i}.filters"] = Tensor(
-                    rng.uniform(-limit, limit, size=(filters, width, d)).astype(dtype),
-                    requires_grad=True, _op=f"conv{conv_i}.filters",
-                )
-                self.params[f"conv{conv_i}.bias"] = Tensor(
-                    np.zeros(filters, dtype=dtype),
-                    requires_grad=True, _op=f"conv{conv_i}.bias",
-                )
-                d = filters
-            elif layer[0] == "dense":
-                _, units, activation = layer
-                dense_i += 1
-                limit = self._limit(activation, d, units)
-                self.params[f"dense{dense_i}.weights"] = Tensor(
-                    rng.uniform(-limit, limit, size=(units, d)).astype(dtype),
-                    requires_grad=True, _op=f"dense{dense_i}.weights",
-                )
-                self.params[f"dense{dense_i}.bias"] = Tensor(
-                    np.zeros(units, dtype=dtype),
-                    requires_grad=True, _op=f"dense{dense_i}.bias",
-                )
-                d = units
-
-    @staticmethod
-    def _limit(activation, fan_in, fan_out):
-        # He-uniform ahead of ReLU, Glorot-uniform for linear/sigmoid
-        if activation == "relu":
-            return np.sqrt(6.0 / fan_in)
-        return np.sqrt(6.0 / (fan_in + fan_out))
+        rng = np.random.default_rng(seed) if arrays is None else None
+        for name, shape, limit in _parameter_layout(spec):
+            if arrays is not None:
+                data = arrays[name]
+            elif limit is None:
+                data = np.zeros(shape, dtype=dtype)
+            else:
+                data = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            self.params[name] = Tensor(data, requires_grad=True, _op=name)
 
     def parameters(self):
         return list(self.params.items())
@@ -355,7 +357,7 @@ class SpeechModel:
                     f"parameter {name}: stored shape {arr.shape} != "
                     f"expected {p.data.shape}"
                 )
-            p.data = arr.astype(self.dtype).copy()
+            p.data = arr.astype(self.dtype)
 
 
 def forward_cnn(model, features):
@@ -678,27 +680,32 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
                 f"{vocab.fingerprint().hex()}"
             )
 
-        model = SpeechModel(spec, seed=0, dtype=dtype)
-        state = {}
-        for name, p in model.parameters():
+        arrays = {}
+        for name, expected, _ in _parameter_layout(spec):
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{name} rank"))
-            if rank != p.data.ndim:
+            if rank != len(expected):
                 raise FormatError(f"{path}: parameter {name}: rank {rank} unexpected")
             shape = struct.unpack(
                 f"<{rank}I", _read_exact(fh, 4 * rank, path, f"{name} shape")
             )
-            if shape != p.data.shape:
+            if shape != expected:
                 raise FormatError(
                     f"{path}: parameter {name}: stored shape {shape} != "
-                    f"expected {p.data.shape}"
+                    f"expected {expected}"
                 )
             count = int(np.prod(shape))
             blob = _read_exact(fh, itemsize * count, path, f"{name} values")
-            state[name] = np.frombuffer(blob, dtype=f"<f{itemsize}").reshape(shape).copy()
+            # one copy, which also makes the array writable; the blob goes
+            # at once, so the load peaks near the parameters' own size
+            arrays[name] = np.frombuffer(blob, dtype=f"<f{itemsize}").reshape(shape).astype(dtype)
+            del blob
         trailing = fh.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after parameters")
-    model.load_state(state)
+    try:
+        model = SpeechModel(spec, dtype=dtype, arrays=arrays)
+    except NumericError as err:  # a Tensor refuses NaN and Inf
+        raise FormatError(f"{path}: stored parameter values are not finite: {err}") from None
     return model, fingerprint, metadata
 
 

@@ -9,12 +9,15 @@ utterances before it. A single (T, D) matrix is one utterance, and a
 convolution drops every output row whose window straddles a boundary
 between two utterances, and a pool starts its windows at each utterance's
 first frame, so no utterance's output or gradient depends on another's
-frames: a model's output on an utterance does not depend on what shares
-its batch. A convolution runs its taps over the whole packed matrix and
-then drops the straddling rows; where these are more than a quarter of its
-rows and it has more filters than input channels (short utterances, wide
-windows, many filters: cnn-pool's conv3), it computes only the rows it
-keeps.
+frames: in a batch of two or more utterances, a model's output on one
+does not depend on what else shares its batch. Run alone, an utterance
+can differ in the last bit wherever that leaves a product one row tall
+(cnn-pool's dense layers, or a convolution with a single output row):
+BLAS computes a one-row product with another kernel (see
+`conv1d_valid`). A convolution with at least as many filters as input
+channels computes only the rows it keeps, one GEMM over their windows per
+block of rows; one with fewer runs its taps over the whole packed matrix
+and then drops the straddling rows.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
@@ -87,17 +90,51 @@ def _segment_rows(starts, counts, step=1):
     return np.repeat(starts, counts) + step * within
 
 
+# kept output rows per GEMM of a convolution's window path; a block's
+# window matrix holds _ROWS * width * D values (16 MB at psc's 96-channel
+# layers in float32). The forward passes of the eight window-path layers
+# of both default models on a length-ordered batch of 32 scoring
+# utterances (about 9.6k conv1 rows), 2-core Xeon, summed: 1024 to 4096
+# rows 95-106 ms, 512 110 ms, 8192 106-112 ms and one block for the whole
+# batch 115-119 ms, where psc's 96 -> 96 layers slowed from about 14 to
+# 21 ms each; the flat optimum makes this a constant, not a setting
+_ROWS = 4096
+
+
+def _forward_over_window(channels, filters):
+    """Whether a convolution's forward pass multiplies the windows of its
+    kept rows by all its filters in one GEMM (inner dimension width *
+    channels) instead of running one GEMM per tap over the flat rows: when
+    it has at least as many filters as input channels. Per output row the
+    window copies width * channels values, where the flat taps add width
+    fresh products of `filters` values each into their sum, so the window
+    moves less memory only with at least as many filters as channels. With
+    fewer it was slower: psc's 96 -> 20 output layer at the scoring shape
+    took 5.1 ms on the flat taps and 6.8 ms on the window."""
+    return filters >= channels
+
+
 def _taps_over_kept_rows(kept, flat, channels, filters):
-    """Whether a convolution runs its taps over its `kept` output rows only
-    instead of all `flat` = N - width + 1 window rows: when fewer than 3/4
-    of the flat rows are kept and the layer has more filters than input
-    channels. The kept-row taps copy the kept input rows (`channels` values
-    each) to skip the dropped output rows (`filters` values each), so they
-    pay only when most windows straddle two utterances and each output row
-    costs more than the copy of an input row. With few filters the copies
-    cost more than they save: at 96 -> 6 and 96 -> 20 channels, keeping
-    60% of the rows, both passes were slower than the flat taps."""
+    """Whether a convolution's input gradient scatters from its `kept`
+    output rows only instead of running its taps over all `flat` =
+    N - width + 1 window rows: when fewer than 3/4 of the flat rows are
+    kept and the layer has more filters than input channels. The kept-row
+    gradient builds a (kept, width * channels) product and adds it to the
+    input rows tap by tap, so it pays only when most windows straddle two
+    utterances. With few filters, or most rows kept, the flat taps were
+    faster: at psc's 96 -> 96 layers, keeping 86% of the rows, per-tap
+    kept-row gradients took 14.4 ms against 9.9 ms, and at 96 -> 6 and
+    96 -> 20 channels, keeping 60%, they were slower too."""
     return 4 * kept < 3 * flat and filters > channels
+
+
+def _window_blocks(rows):
+    """(start, stop) of the blocks of `_ROWS` rows that cover `rows` rows.
+    A last block of one row joins the one before it: BLAS runs a one-row
+    product with another kernel, which can round the last bit differently
+    from the same row inside a GEMM."""
+    starts = list(range(0, rows - 1, _ROWS)) or [0]
+    return zip(starts, starts[1:] + [rows])
 
 
 def conv1d_valid(x, filters, bias, lengths=None):
@@ -110,52 +147,56 @@ def conv1d_valid(x, filters, bias, lengths=None):
     frames. The output is packed the same way, with conv_out_lengths(lengths)
     rows per utterance.
 
-    Layout: each tap i is a single GEMM over the whole packed matrix,
-    flat += x[i:i+n] @ filters[:, i].T with n = N - width + 1
-    (Chellapilla et al. 2006 without the im2col copy). Flat row r is the
-    window that starts at input row r. The width - 1 rows before each
-    utterance boundary hold windows that straddle it; one row gather drops
-    them, so the next layer gets a packed matrix again. Where fewer than 3/4
-    of the flat rows are kept and there are more filters than input
-    channels (`_taps_over_kept_rows`), the taps skip the straddling rows
-    instead: out += x[keep + i] @ filters[:, i].T over the kept rows `keep`
-    only. Of the default models' layers in training only cnn-pool's conv3
-    (256 -> 1024, width 11, about 18 frames per utterance) does so; it
-    keeps under half its flat rows, and its forward went from about 26 to
-    15 ms (B=32, float32, 2-core Xeon). The other layers keep 85% or more
-    and stay on the flat taps, which copy nothing. Both paths give every
-    kept element the same inner product as a per-utterance GEMM (inner
-    dimension D), with the taps added in the same order, so packing only
-    turns B small GEMMs per tap into one tall one, and at the default
-    models' layer sizes the result is bitwise that of one GEMM per
-    utterance, on either path. BLAS libraries switch to other kernels for
-    small products (OpenBLAS below roughly 1e5 multiply-adds per row, e.g.
-    a 6-word psc output layer on short utterances, or 1-3 output frames per
-    utterance; its float32 kernels for a filter count that is not a
-    multiple of 4 also round by row count), and those can round the last
-    bit differently. The forward pass builds
-    no (N, width*D) column matrix: for long inputs and few filters it would
-    be many times the input's size.
+    Layout: a layer with at least as many filters as input channels
+    (`_forward_over_window`: cnn-pool's conv1-3, psc's conv1-5) computes
+    its kept rows only. It gathers the tap-major window of each kept output
+    row, x[r:r+width] as width*D values, and multiplies blocks of `_ROWS`
+    such rows by filters.reshape(K, width*D).T straight into the output:
+    one GEMM per block with inner dimension width*D (Chellapilla et al.
+    2006), no row whose window straddles two utterances, no per-tap sum.
+    The blocks bound the window matrix; a full-batch one would be many
+    times the input on long utterances. A layer with fewer filters (psc's
+    96 -> 20 and 96 -> 6 output layers) runs each tap i as a single GEMM
+    over the whole packed matrix, flat += x[i:i+n] @ filters[:, i].T with
+    n = N - width + 1; flat row r is the window that starts at input row r,
+    and one row gather drops the width - 1 rows before each utterance
+    boundary, whose windows straddle it. Either way the next layer gets a
+    packed matrix again, and each output row is the same inner product
+    whatever rows share its GEMM, so packing only turns many small GEMMs
+    into tall ones: at the default models' layer sizes the output is
+    bitwise that of one call per utterance. The exception is an utterance
+    with a single output row: run on its own it is a one-row product, which
+    BLAS computes with another kernel that can round the last bit
+    differently. BLAS libraries also switch kernels for other small
+    products (OpenBLAS below roughly 1e5 multiply-adds per row, e.g. a
+    6-word psc output layer on short utterances; its float32 kernels for a
+    filter count that is not a multiple of 4 also round by row count).
 
     Backward: the filter gradient is one GEMM, g.T @ win, over the
     (N_out, width*D) window matrix of the kept rows: row j is the window of
-    output row j. In float32 that matrix is gathered tap-major, (width, D)
-    per row, so the copy moves runs of D contiguous values (1.5 ms against
-    7.3 ms for the d-major gather on a 96->96 psc layer at B=32, T=220,
-    2-core Xeon) and the product is already in (K, width, D) order. The
-    inner dimension stays N_out, so every element is the same sum in the
-    same order as with the d-major (D, width) matrix; only the order of the
-    output columns changes. OpenBLAS's dgemm (0.3.31, x86-64) rounds the
-    last (width*D mod 8) columns with an edge kernel that sums differently,
+    output row j. It is rebuilt here rather than kept from the forward
+    pass, which would hold about 110 MB more through a psc training step.
+    In float32 that matrix is gathered tap-major, (width, D) per row, so the
+    copy moves runs of D contiguous values (1.5 ms against 7.3 ms for the
+    d-major gather on a 96->96 psc layer at B=32, T=220, 2-core Xeon) and
+    the product is already in (K, width, D) order. The inner dimension
+    stays N_out, so every element is the same sum in the same order as with
+    the d-major (D, width) matrix; only the order of the output columns
+    changes. OpenBLAS's dgemm (0.3.31, x86-64) rounds the last
+    (width*D mod 8) columns with an edge kernel that sums differently,
     while its sgemm rounds every column alike, so float64 keeps the d-major
-    order to stay bitwise (the 39-channel first layer has 351 columns). The
-    input gradient runs the forward's per-tap GEMMs in reverse, in tap
-    order, on the path the forward took. The flat taps take the output
+    order to stay bitwise (the 39-channel first layer has 351 columns).
+    Where fewer than 3/4 of the flat rows are kept and there are more
+    filters than input channels (`_taps_over_kept_rows`; in training only
+    cnn-pool's conv3, 256 -> 1024, width 11, about 18 frames per
+    utterance), the input gradient is one GEMM, g @ filters.reshape(K,
+    width*D), whose tap-i columns are added to gx[keep + i] tap by tap
+    (about 10.2 -> 8.0 ms against per-tap GEMMs at conv3's shape, and 21 ms
+    on the flat taps). Elsewhere it runs one GEMM per tap over the output
     gradient scattered back to the flat rows, where the straddling rows get
-    zero; the kept-row taps add gx[keep + i] += g @ filters[:, i] straight
-    from the kept rows (about 21 -> 12 ms at conv3's shape). Adding the zero
-    rows changes no sum, so at the default models' shapes both paths give
-    the same bits.
+    zero: gx[i:i+n] += g_flat @ filters[:, i]. Both add the same products
+    in tap order, and adding the zero rows changes no sum, so at the
+    default models' shapes both paths give the same bits.
     """
     x, lengths, rows = _packed(x, lengths)
     filters = _as_tensor(filters)
@@ -179,11 +220,13 @@ def conv1d_valid(x, filters, bias, lengths=None):
     out_len = conv_out_lengths(lengths, width)
     N_out = int(out_len.sum())
     keep = _segment_rows(_offsets(lengths), out_len) if len(lengths) > 1 else None
-    kept_only = _taps_over_kept_rows(N_out, n, D, K)
-    if kept_only:
-        out_data = x.data[keep] @ filters.data[:, 0, :].T
-        for i in range(1, width):
-            out_data += x.data[keep + i] @ filters.data[:, i, :].T
+    if _forward_over_window(D, K):
+        win = sliding_window_view(x.data, width, axis=0).transpose(0, 2, 1)
+        kept = np.arange(n) if keep is None else keep
+        weights = filters.data.reshape(K, width * D).T
+        out_data = np.empty((N_out, K), dtype=np.result_type(x.data, filters.data))
+        for s, e in _window_blocks(N_out):
+            np.matmul(win[kept[s:e]].reshape(e - s, width * D), weights, out=out_data[s:e])
     else:
         flat = x.data[:n] @ filters.data[:, 0, :].T
         for i in range(1, width):
@@ -212,9 +255,11 @@ def conv1d_valid(x, filters, bias, lengths=None):
                 del gf  # before the input gradient allocates: lower peak RSS
             if x.requires_grad:
                 gx = np.zeros((N, D), dtype=x.data.dtype)
-                if kept_only:
+                if _taps_over_kept_rows(N_out, n, D, K):
+                    gw = g @ filters.data.reshape(K, width * D)
                     for i in range(width):
-                        gx[keep + i] += g @ filters.data[:, i, :]
+                        gx[keep + i] += gw[:, i * D:(i + 1) * D]
+                    del gw
                 else:
                     if keep is None:
                         g_flat = g

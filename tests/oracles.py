@@ -190,10 +190,13 @@ def reference_forward(model, batch, lengths, scores=False):
     """A SpeechModel's forward pass on a padded (B, T, D) batch, computed
     the padded way: every layer keeps (B, T', K) arrays, zero-fills the
     frames past each row's valid length, pools with -inf fills, and masks
-    the time reductions. Plain numpy, no Tensors. Returns the (B, W)
-    probabilities, and with `scores` (psc) also the padded (B, T', W) score
-    map and its valid lengths.
+    the time reductions. A convolution with at least as many filters as
+    input channels is one GEMM over the tap-major windows of every row,
+    padding included; one with fewer runs a GEMM per tap. Plain numpy, no
+    Tensors. Returns the (B, W) probabilities, and with `scores` (psc) also
+    the padded (B, T', W) score map and its valid lengths.
     """
+    from numpy.lib.stride_tricks import sliding_window_view
     from scipy.special import expit
 
     dtype = model.dtype
@@ -209,12 +212,17 @@ def reference_forward(model, batch, lengths, scores=False):
             b = model.params[f"conv{conv_i}.bias"].data
             B, T, D = x.shape
             K, T_out, n = len(F), T - width + 1, B * T - width + 1
-            x_flat = x.reshape(B * T, D)
-            flat = np.zeros((B * T, K), dtype=dtype)
-            for i in range(width):
-                flat[:n] += x_flat[i:i + n] @ F[:, i, :].T
-            x = np.empty((B, T_out, K), dtype=dtype)
-            np.add(flat.reshape(B, T, K)[:, :T_out], b, out=x)
+            if K >= D:  # one GEMM over every row's tap-major window
+                win = sliding_window_view(x, width, axis=1).transpose(0, 1, 3, 2)
+                x = win.reshape(B * T_out, width * D) @ F.reshape(K, width * D).T
+                x = (x + b).reshape(B, T_out, K)
+            else:  # one GEMM per tap over the flattened batch
+                x_flat = x.reshape(B * T, D)
+                flat = np.zeros((B * T, K), dtype=dtype)
+                for i in range(width):
+                    flat[:n] += x_flat[i:i + n] @ F[:, i, :].T
+                x = np.empty((B, T_out, K), dtype=dtype)
+                np.add(flat.reshape(B, T, K)[:, :T_out], b, out=x)
             lens = lens - width + 1
             x[np.arange(T_out)[None, :] >= lens[:, None]] = 0.0
             if activation == "relu":

@@ -3,6 +3,7 @@
 import gc
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -568,6 +569,33 @@ def test_checkpoint_f64_roundtrip_is_bitwise(tmp_path):
     for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
         assert q.data.dtype == np.float64
         assert np.array_equal(p.data, q.data), name
+
+
+def test_checkpoint_load_peaks_below_twice_the_parameters(tmp_path):
+    # the model is built from the stored arrays: no throwaway initialisation
+    # is drawn, and each array is copied once
+    model = SpeechModel(cnn_pool(20), seed=6)
+    param_bytes = sum(p.data.nbytes for _, p in model.parameters())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, b"\x04" * 8, {})
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * param_bytes, f"load peaked at {peak / param_bytes:.2f}x the parameters"
+    for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
+        assert q.data.flags.writeable and np.array_equal(p.data, q.data), name
+
+
+def test_checkpoint_non_finite_parameter_is_format_error(tmp_path):
+    model = SpeechModel(toy_spec("psc", vocab_size=4), seed=6)
+    model.params["conv2.filters"].data[0, 0, 0] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, b"\x05" * 8, {})
+    with pytest.raises(FormatError, match="not finite"):
+        load_checkpoint(path)
 
 
 def _as_version_1(blob):

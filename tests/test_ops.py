@@ -249,8 +249,8 @@ def test_short_layer_with_few_filters_keeps_the_flat_taps():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
     # B = 32 training utterances as they reach conv3 (256 -> 1024, width 11):
-    # the packed forward is bitwise that of each utterance on its own (a lone
-    # utterance takes the flat path), and the gradients that of the reference.
+    # the packed forward is bitwise that of each utterance on its own, and the
+    # gradients that of the reference.
     # A lone utterance with one output row is a one-row product, which BLAS
     # runs with another kernel that rounds the last bit differently, so those
     # match to the oracle tolerance only.
@@ -278,6 +278,64 @@ def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
     expected = reference_conv1d_backward(x_data, f.data, lengths, probe, dtype)
     for name, g, want in zip(("bias", "filters", "input"), (b.grad, f.grad, x.grad), expected):
         assert g.dtype == dtype and np.array_equal(g, want), f"{name} gradient"
+
+
+SCORING_FRAMES = (127, 610)  # the utterances the score-long workload scores
+
+
+@pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
+@pytest.mark.parametrize("make", [cnn_pool, psc])
+def test_window_forward_takes_the_layers_with_as_many_filters_as_channels(make, frames):
+    # the window made psc's 96 -> 20 output layer slower; every other
+    # default layer has at least as many filters as input channels
+    spec = make(20)
+    lengths = np.random.default_rng(47).integers(frames[0], frames[1] + 1, size=32)
+    taken = [ops._forward_over_window(D, K) for _, D, K, _ in _default_conv_layers(spec, lengths)]
+    assert taken == ([True] * 3 if make is cnn_pool else [True] * 5 + [False])
+
+
+@pytest.mark.parametrize("dtype, tol", CONV_TOLERANCES)
+@pytest.mark.parametrize("layout", ["packed", "batch", "lone"])
+def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, dtype, tol):
+    # kept rows that fill a `_ROWS` block and spill into the next: each
+    # utterance's rows are bitwise those of a call on it alone, whichever
+    # block they fall in, and within tolerance of the oracle
+    rng = np.random.default_rng(46)
+    D, K, width = 39, 96, 9  # psc's conv1
+    assert ops._forward_over_window(D, K)
+    kept = ops._ROWS + 37
+    if layout == "packed":
+        out_len = np.full(19, kept // 19)
+        out_len[-1] += kept % 19
+    else:  # B equal-length utterances, or one
+        B = 16 if layout == "batch" else 1
+        out_len = np.full(B, -(-kept // B))
+    lengths = out_len + width - 1
+    rows = [rng.normal(size=(n, D)).astype(dtype) for n in lengths]
+    f = rng.normal(size=(K, width, D)).astype(dtype)
+    b = rng.normal(size=K).astype(dtype)
+    if layout == "packed":
+        x, lens = pack(rows)[0], lengths
+    else:
+        x, lens = (np.stack(rows) if layout == "batch" else rows[0]), None
+    out = ops.conv1d_valid(Tensor(x, dtype=dtype), f, b, lengths=lens).data
+    assert out.dtype == dtype
+    out = out.reshape(-1, K)
+    assert out.shape[0] % ops._ROWS > 1
+    want = oracle_conv1d(pad(rows), f, b, lengths,
+                         np.zeros((len(rows), lengths.max() - width + 1, K)))[0]
+    for got, u, w, n in zip(unpack(out, out_len), rows, want, out_len):
+        assert np.array_equal(got, ops.conv1d_valid(Tensor(u, dtype=dtype), f, b).data)
+        assert np.abs(got - w[:n]).max() <= tol * max(np.abs(w[:n]).max(), 1.0)
+
+
+def test_window_blocks_never_end_in_a_lone_row():
+    R = ops._ROWS
+    assert list(ops._window_blocks(1)) == [(0, 1)]
+    assert list(ops._window_blocks(R)) == [(0, R)]
+    assert list(ops._window_blocks(R + 1)) == [(0, R + 1)]
+    assert list(ops._window_blocks(R + 2)) == [(0, R), (R, R + 2)]
+    assert list(ops._window_blocks(2 * R + 1)) == [(0, R), (R, 2 * R + 1)]
 
 
 def test_conv_one_kept_row_per_utterance_matches_oracle():
