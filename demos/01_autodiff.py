@@ -8,7 +8,7 @@ engine, then runs the full finite-difference check on both architectures.
 import numpy as np
 
 from gkw.models import CNN_POOL, PSC, gradient_check, toy_spec
-from gkw.ops import dense, logsumexp_pool, relu
+from gkw.ops import dense, logsumexp_pool
 from gkw.tensor import Tensor
 
 # A scalar chain: y = sum(relu(x W^T + b)), differentiated two ways.

@@ -39,8 +39,12 @@ def _size(arg):
     return isinstance(arg, int) and arg >= 1
 
 
-def _activation(arg):
-    return arg in ("relu", "none", "sigmoid")
+def _conv_activation(arg):
+    return arg in ops.CONV_ACTIVATIONS
+
+
+def _dense_activation(arg):
+    return arg in ops.DENSE_ACTIVATIONS
 
 
 def _number(arg):
@@ -49,11 +53,11 @@ def _number(arg):
 
 # layer kind -> a check for each of its arguments
 _LAYER_ARGS = {
-    "conv": (_size, _size, _activation),  # width, filters
+    "conv": (_size, _size, _conv_activation),  # width, filters
     "pool": (_size,),
     "maxtime": (),
     "lse": (_number,),
-    "dense": (_size, _activation),
+    "dense": (_size, _dense_activation),
     "sigmoid": (),
 }
 
@@ -70,7 +74,7 @@ def _check_layer(layer):
 class ArchitectureSpec:
     """Layer stack as data. Layers are tuples:
 
-    ("conv", width, filters, activation)   valid conv over time
+    ("conv", width, filters, activation)   valid conv over time; "relu"/"none"
     ("pool", size)                         non-overlapping max pool
     ("maxtime",)                           max over remaining time
     ("lse", r)                             logsumexp pooling over time
@@ -313,10 +317,9 @@ class SpeechModel:
                     self.params[f"conv{conv_i}.filters"],
                     self.params[f"conv{conv_i}.bias"],
                     lengths=lens,
+                    activation=activation,
                 )
                 lens = ops.conv_out_lengths(lens, width)
-                if activation == "relu":
-                    t = ops.relu(t)
             elif layer[0] == "pool":
                 t = ops.max_pool1d(t, layer[1], lengths=lens)
                 lens = ops.pool_out_lengths(lens, layer[1])
@@ -350,6 +353,9 @@ class SpeechModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, state):
+        """Set every parameter from `state` (name -> array). An array
+        already in the model's dtype is adopted, not copied: the caller
+        hands it over."""
         for name, p in self.params.items():
             arr = state[name]
             if arr.shape != p.data.shape:
@@ -357,7 +363,7 @@ class SpeechModel:
                     f"parameter {name}: stored shape {arr.shape} != "
                     f"expected {p.data.shape}"
                 )
-            p.data = arr.astype(self.dtype)
+            p.data = arr.astype(self.dtype, copy=False)
 
 
 def forward_cnn(model, features):
@@ -483,8 +489,11 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
     packed: `forward` puts its utterances back to back, so no padding frame
     is computed and no utterance's gradient depends on another's frames.
     Stops early when dev loss has not improved for `patience` epochs.
-    `progress`, if given, is called as progress(epoch, train_loss,
-    dev_loss) after each epoch.
+    Each step's gradients are freed as soon as Adam has applied them, so
+    none lives through the next forward pass, the dev-loss pass or the
+    copy of the best parameters; at the end the model adopts that copy
+    without copying it again. `progress`, if given, is called as
+    progress(epoch, train_loss, dev_loss) after each epoch.
     """
     from .optim import Adam
 
@@ -515,7 +524,7 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
 
     history = {"train_loss": [], "dev_loss": []}
     best_dev = np.inf
-    best_state = model.state()
+    best_state = None  # epoch 1's finite dev loss always beats np.inf
     best_epoch = 0
     stale = 0
     epochs_run = 0
@@ -529,9 +538,9 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
             targets = np.stack([target_map[i] for i in chunk])
             try:
                 loss = bow_loss(model.forward(batch, lengths), targets)
-                opt.zero_grad()
                 loss.backward()
                 opt.step()
+                opt.zero_grad()
             except NumericError as err:
                 raise NumericError(
                     f"epoch {epoch}, batch {start // config.batch_size} "

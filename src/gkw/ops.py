@@ -11,16 +11,24 @@ between two utterances, and a pool starts its windows at each utterance's
 first frame, so no utterance's output or gradient depends on another's
 frames: in a batch of two or more utterances, a model's output on one
 does not depend on what else shares its batch. Run alone, an utterance
-can differ in the last bit wherever that leaves a product one row tall
-(cnn-pool's dense layers, or a convolution with a single output row):
-BLAS computes a one-row product with another kernel (see
-`conv1d_valid`). A convolution with at least as many filters as input
+can differ in the last bit where that leaves a convolution a single
+output row: BLAS computes a one-row product with another kernel (see
+`conv1d_valid`). `dense` runs a one-row input as a two-row product for
+this reason. A convolution with at least as many filters as input
 channels computes only the rows it keeps, one GEMM over their windows per
 block of rows; one with fewer runs its taps over the whole packed matrix
 and then drops the straddling rows.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
+
+`conv1d_valid` and `dense` take an `activation`. A ReLU is applied in
+place to the layer's own output, after the bias, so a ReLU layer keeps
+one array, not two, through backward. Its backward masks the output
+gradient in place with `out > 0`, which holds exactly where the
+pre-activation is > 0 (Rota Bulo et al., "In-Place Activated BatchNorm",
+2018), so the gradient has the bits of a separate ReLU's. The finiteness
+check runs on the pre-activation, which a ReLU could hide an -inf in.
 """
 
 from __future__ import annotations
@@ -31,6 +39,11 @@ from scipy.special import expit
 
 from .errors import ConfigError, DataError, InvalidInputError
 from .tensor import Tensor
+
+
+# the activations each layer op takes
+CONV_ACTIVATIONS = ("none", "relu")
+DENSE_ACTIVATIONS = ("none", "relu", "sigmoid")
 
 
 def conv_out_lengths(lengths, width):
@@ -137,15 +150,19 @@ def _window_blocks(rows):
     return zip(starts, starts[1:] + [rows])
 
 
-def conv1d_valid(x, filters, bias, lengths=None):
-    """Valid 1-D convolution over time, stride 1.
+def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
+    """Valid 1-D convolution over time, stride 1, with an optional ReLU.
 
     x: packed (N, D) with `lengths`, (T, D), or (B, T, D); filters:
     (K, width, D); bias: (K,). For each utterance,
     out[t, k] = bias[k] + sum_{i, d} x[t+i, d] * filters[k, i, d]
     for t < length - width + 1, so each utterance needs at least `width`
     frames. The output is packed the same way, with conv_out_lengths(lengths)
-    rows per utterance.
+    rows per utterance. activation is "none" or "relu"; "relu" runs
+    np.maximum(out, 0, out=out) on the output after the bias, and backward
+    first masks the output gradient in place with out > 0 (see the module
+    docstring), so the layer holds one array and the gradients keep the
+    bits of a separate ReLU's.
 
     Layout: a layer with at least as many filters as input channels
     (`_forward_over_window`: cnn-pool's conv1-3, psc's conv1-5) computes
@@ -198,6 +215,8 @@ def conv1d_valid(x, filters, bias, lengths=None):
     in tap order, and adding the zero rows changes no sum, so at the
     default models' shapes both paths give the same bits.
     """
+    if activation not in CONV_ACTIVATIONS:
+        raise ConfigError(f"unknown convolution activation {activation!r}")
     x, lengths, rows = _packed(x, lengths)
     filters = _as_tensor(filters)
     bias = _as_tensor(bias)
@@ -236,9 +255,14 @@ def conv1d_valid(x, filters, bias, lengths=None):
     out_data += bias.data
 
     out = Tensor(out_data, _parents=(x, filters, bias), _op="conv1d")
+    relu = activation == "relu"
+    if relu:
+        np.maximum(out.data, 0.0, out=out.data)
     if out.requires_grad:
         def backward():
             g = out.grad
+            if relu:
+                g *= out.data > 0
             if bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=0))
             if filters.requires_grad:
@@ -361,8 +385,16 @@ def dense(x, weights, bias, activation="none"):
     """Affine map out = x @ weights.T + bias with an optional activation.
 
     x: (N,) or (B, N); weights: (M, N); bias: (M,). activation is one of
-    "none", "relu", "sigmoid".
+    "none", "relu", "sigmoid". "relu" runs in place on the output, with
+    its backward mask taken from the output, as in `conv1d_valid`;
+    "sigmoid" is a separate `sigmoid` op. A single row is multiplied as
+    two copies of itself, keeping the first row of the product: BLAS runs
+    a one-row product with another kernel, which can round the last bit
+    differently from the same row inside a taller GEMM, and the copy makes
+    a lone input's output bitwise its row in a batch.
     """
+    if activation not in DENSE_ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
     x = _as_tensor(x)
     weights = _as_tensor(weights)
     bias = _as_tensor(bias)
@@ -379,12 +411,18 @@ def dense(x, weights, bias, activation="none"):
     if bias.data.shape != (M,):
         raise DataError(f"bias shape {bias.data.shape} != ({M},)")
 
+    lhs = np.repeat(xb.data, 2, axis=0) if B == 1 else xb.data
     out = Tensor(
-        xb.data @ weights.data.T + bias.data, _parents=(xb, weights, bias), _op="dense"
+        (lhs @ weights.data.T)[:B] + bias.data, _parents=(xb, weights, bias), _op="dense"
     )
+    relu = activation == "relu"
+    if relu:
+        np.maximum(out.data, 0.0, out=out.data)
     if out.requires_grad:
         def backward():
             g = out.grad
+            if relu:
+                g *= out.data > 0
             if bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=0))
             if weights.requires_grad:
@@ -394,23 +432,7 @@ def dense(x, weights, bias, activation="none"):
         out._backward = backward
     if single:
         out = out.reshape(M)
-    if activation == "none":
-        return out
-    if activation == "relu":
-        return relu(out)
-    if activation == "sigmoid":
-        return sigmoid(out)
-    raise ConfigError(f"unknown activation {activation!r}")
-
-
-def relu(x):
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,), _op="relu")
-    if out.requires_grad:
-        def backward():
-            x.accumulate_grad(out.grad * (x.data > 0))
-        out._backward = backward
-    return out
+    return sigmoid(out) if activation == "sigmoid" else out
 
 
 def sigmoid(x):

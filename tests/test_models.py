@@ -254,6 +254,52 @@ def test_no_grad_forward_frees_its_graph_at_once(variant):
         gc.enable()
 
 
+def _held_arrays(root):
+    """Distinct arrays (by their base buffer) of the tensors reachable from
+    `root` other than parameters: what a backward sweep keeps alive."""
+    held, seen, stack = {}, set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._parents or not node.requires_grad:
+            base = node.data
+            while base.base is not None:
+                base = base.base
+            held[id(base)] = base
+    return list(held.values())
+
+
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_training_graph_holds_one_array_per_layer(variant):
+    """The packed input, one array per layer (a ReLU runs in place on its
+    layer's output) and the loss. A dense layer's sigmoid is an op of its
+    own, which keeps its own array."""
+    spec = toy_spec(variant, vocab_size=4)
+    model = SpeechModel(spec, seed=4)
+    x = np.random.default_rng(24).normal(size=(2, 140, 8))
+    loss = bow_loss(model.forward(x, [140, 131]), np.eye(4, dtype=np.float32)[:2])
+    sigmoids = sum(l[0] == "dense" and l[2] == "sigmoid" for l in spec.layers)
+    assert len(_held_arrays(loss)) == 1 + len(spec.layers) + sigmoids + 1
+
+
+def test_lone_cnn_pool_forward_is_bitwise_its_row_in_a_batch_of_two():
+    """A lone utterance's dense layers run as two-row products, so the
+    one-row BLAS kernel does not round its probabilities differently."""
+    rng = np.random.default_rng(25)
+    model = SpeechModel(cnn_pool(20), seed=0)
+    x = rng.normal(size=(300, 39)).astype(np.float32)
+    other = rng.normal(size=(260, 39)).astype(np.float32)
+    lone = model.predict(x)
+    with no_grad():
+        first = model.forward(pad([x, other]), [300, 260]).data[0]
+        second = model.forward(pad([other, x]), [260, 300]).data[1]
+    assert np.array_equal(lone, first)
+    assert np.array_equal(lone, second)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         models.ArchitectureSpec("mlp", 3, 8, (("dense", 3, "sigmoid"),))
@@ -342,6 +388,16 @@ def test_train_loss_decreases():
         TrainConfig(epochs=20, batch_size=8, seed=0, patience=20),
     )
     assert meta["train_loss"][-1] < meta["train_loss"][0]
+
+
+def test_train_returns_a_model_without_gradients():
+    """Adam's step frees the gradients it applied: none outlives training."""
+    rng = np.random.default_rng(26)
+    spec = toy_spec("psc", vocab_size=5)
+    feats, targs, ids = toy_corpus(rng, spec, n=12)
+    model, _ = train(feats, targs, ids[:8], ids[8:], spec,
+                     TrainConfig(epochs=2, batch_size=4, seed=0))
+    assert all(p.grad is None for _, p in model.parameters())
 
 
 def test_overfit_single_utterance():
@@ -700,10 +756,21 @@ def test_checkpoint_psc_spec_without_lse_is_format_error(tmp_path):
     (("conv", 0, 3, "none"), ("lse", 1.0)),               # width 0
     (("conv", 3, 3, "none"), ("lse", "1")),               # r not a number
     (("conv", 3, 3), ("lse", 1.0)),                       # missing argument
+    (("conv", 3, 3, "sigmoid"), ("lse", 1.0)),            # a conv has no sigmoid
 ])
 def test_spec_refuses_malformed_layers(layers):
     with pytest.raises(ConfigError):
         models.ArchitectureSpec("psc", 3, 8, layers)
+
+
+def test_checkpoint_conv_sigmoid_is_format_error(tmp_path):
+    """A stored convolution with a sigmoid would run as a linear layer."""
+    path = tmp_path / "model.ckpt"
+    blob, spec_len, _, _ = _psc_checkpoint(path, {})
+    spec = blob[12:12 + spec_len].replace(b'"none"', b'"sigmoid"', 1)
+    path.write_bytes(blob[:8] + struct.pack("<I", len(spec)) + spec + blob[12 + spec_len:])
+    with pytest.raises(FormatError, match="sigmoid"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_fuzz_raises_only_data_errors(tmp_path):
@@ -731,15 +798,20 @@ def test_gradient_check_refuses_zero_step():
 
 
 def test_gradient_check_negative_control(monkeypatch):
-    def relu_without_mask(x):  # right forward, wrong backward
-        out = Tensor(np.maximum(x.data, 0.0), _parents=(x,), _op="relu")
+    conv1d_valid = ops.conv1d_valid
 
-        def backward():
-            x.accumulate_grad(out.grad)
-        out._backward = backward
-        return out
+    def conv_relu_without_mask(x, filters, bias, lengths=None, activation="none"):
+        out = conv1d_valid(x, filters, bias, lengths=lengths)
+        if activation == "none":
+            return out
+        relu = Tensor(np.maximum(out.data, 0.0), _parents=(out,), _op="relu")
 
-    monkeypatch.setattr(ops, "relu", relu_without_mask)
+        def backward():  # right forward, wrong backward
+            out.accumulate_grad(relu.grad)
+        relu._backward = backward
+        return relu
+
+    monkeypatch.setattr(ops, "conv1d_valid", conv_relu_without_mask)
     err, worst = gradient_check(toy_spec("psc"), seed=0)
     assert err > 1e-6
     assert worst

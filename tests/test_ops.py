@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gkw import ops
-from gkw.errors import ConfigError, DataError, InvalidInputError
+from gkw.errors import ConfigError, DataError, InvalidInputError, NumericError
 from gkw.models import cnn_pool, psc
 from gkw.tensor import Tensor, parameter
 
@@ -616,12 +616,25 @@ def test_dense_gradients():
     finite_diff(build, [x, w, b])
 
 
+def _relu_layers(data):
+    """conv1d_valid and dense as identity maps of `data`'s last axis with a
+    fused ReLU: (name, forward(x) -> Tensor) pairs. Dense takes 2-D rows."""
+    D = data.shape[-1]
+    eye, zeros = np.eye(D, dtype=data.dtype), np.zeros(D, dtype=data.dtype)
+    return [
+        ("conv1d_valid", lambda x: ops.conv1d_valid(x, eye[:, None, :], zeros, activation="relu")),
+        ("dense", lambda x: ops.dense(x, eye, zeros, activation="relu")),
+    ]
+
+
 def test_relu_values_and_gradient():
-    x = parameter(np.array([-2.0, 0.0, 3.0]), dtype=np.float64)
-    out = ops.relu(x)
-    assert np.array_equal(out.data, [0.0, 0.0, 3.0])
-    out.sum().backward()
-    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+    data = np.array([[-2.0], [0.0], [3.0]])
+    for name, layer in _relu_layers(data):
+        x = parameter(data, dtype=np.float64)
+        out = layer(x)
+        assert np.array_equal(out.data.ravel(), [0.0, 0.0, 3.0]), name
+        out.sum().backward()
+        assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 1.0]), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -629,12 +642,48 @@ def test_relu_gradient_equals_the_where_form(dtype):
     rng = np.random.default_rng(43)
     data = rng.normal(size=(4, 30, 6))
     data[rng.uniform(size=data.shape) < 0.2] = 0.0  # exact zeros get no gradient
-    x = parameter(data, dtype=dtype)
+    data = data.astype(dtype)
     probe = rng.normal(size=data.shape).astype(dtype)
-    (ops.relu(x) * Tensor(probe)).sum().backward()
-    assert x.grad.dtype == dtype
-    assert np.array_equal(x.grad, np.where(x.data > 0, probe, 0.0))
-    assert np.all(x.grad[x.data == 0.0] == 0.0)
+    for name, layer in _relu_layers(data):
+        x = parameter(data if name == "conv1d_valid" else data.reshape(-1, 6), dtype=dtype)
+        (layer(x) * Tensor(probe.reshape(x.data.shape))).sum().backward()
+        assert x.grad.dtype == dtype, name
+        assert np.array_equal(x.grad, np.where(x.data > 0, probe.reshape(x.data.shape), 0.0)), name
+        assert np.all(x.grad[x.data == 0.0] == 0.0), name
+
+
+def test_conv_relu_gradients_equal_a_separate_relu_bitwise():
+    """The fused ReLU's filter, bias and input gradients are bitwise those
+    of the linear layer fed the where-masked output gradient."""
+    rng = np.random.default_rng(44)
+    lengths = np.array([40, 33, 52])
+    for dtype in (np.float32, np.float64):
+        data = rng.normal(size=(int(lengths.sum()), 6)).astype(dtype)
+        w = rng.normal(size=(8, 5, 6)).astype(dtype)
+        b = rng.normal(size=8).astype(dtype)
+        probe = rng.normal(size=(int((lengths - 4).sum()), 8)).astype(dtype)
+        grads = []
+        for activation in ("relu", "none"):
+            x, f, bias = (parameter(a, dtype=dtype) for a in (data, w, b))
+            out = ops.conv1d_valid(x, f, bias, lengths=lengths, activation=activation)
+            g = probe if activation == "relu" else np.where(out.data > 0, probe, 0.0)
+            (out * Tensor(g)).sum().backward()
+            grads.append((x.grad, f.grad, bias.grad))
+        for fused, separate in zip(*grads):
+            assert np.array_equal(fused, separate), dtype
+
+
+def test_conv_relu_checks_finiteness_before_the_max():
+    """An overflow to -inf is refused, not hidden by the ReLU's zero."""
+    x = np.full((4, 1), 1e30, dtype=np.float32)
+    w = np.full((1, 1, 1), -1e30, dtype=np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="conv1d"):
+        ops.conv1d_valid(x, w, np.zeros(1, dtype=np.float32), activation="relu")
+
+
+def test_conv_bad_activation():
+    with pytest.raises(ConfigError, match="sigmoid"):
+        ops.conv1d_valid(np.zeros((4, 1)), np.ones((1, 1, 1)), np.zeros(1), activation="sigmoid")
 
 
 def test_sigmoid_extremes_stay_finite():
