@@ -11,13 +11,18 @@ between two utterances, and a pool starts its windows at each utterance's
 first frame, so no utterance's output or gradient depends on another's
 frames: in a batch of two or more utterances, a model's output on one
 does not depend on what else shares its batch. Run alone, an utterance
-can differ in the last bit where that leaves a convolution a single
-output row: BLAS computes a one-row product with another kernel (see
+can differ in the last bit where that leaves a convolution only a few
+output rows: BLAS computes products of a few rows with other kernels (see
 `conv1d_valid`). `dense` runs a one-row input as a two-row product for
 this reason. A convolution with at least as many filters as input
 channels computes only the rows it keeps, one GEMM over their windows per
-block of rows; one with fewer runs its taps over the whole packed matrix
-and then drops the straddling rows.
+block of at most `_ROWS` rows; one with fewer runs its taps over the whole
+packed matrix and then drops the straddling rows. Backward mirrors this in
+the same blocks: the filter gradient is summed block by block over the
+windows, and the input gradient, itself a convolution with the channels
+and filters swapped, runs over the padded output gradient's windows where
+the layer has at least as many channels as filters, and as one GEMM over
+the kept rows where it has fewer.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
@@ -34,7 +39,7 @@ check runs on the pre-activation, which a ReLU could hide an -inf in.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, InvalidInputError
@@ -103,51 +108,41 @@ def _segment_rows(starts, counts, step=1):
     return np.repeat(starts, counts) + step * within
 
 
-# kept output rows per GEMM of a convolution's window path; a block's
-# window matrix holds _ROWS * width * D values (16 MB at psc's 96-channel
-# layers in float32). The forward passes of the eight window-path layers
-# of both default models on a length-ordered batch of 32 scoring
-# utterances (about 9.6k conv1 rows), 2-core Xeon, summed: 1024 to 4096
-# rows 95-106 ms, 512 110 ms, 8192 106-112 ms and one block for the whole
-# batch 115-119 ms, where psc's 96 -> 96 layers slowed from about 14 to
-# 21 ms each; the flat optimum makes this a constant, not a setting
+# rows per GEMM of a convolution's window paths, forward and backward; a
+# block's window matrix holds at most _ROWS * width * D values (16 MB at
+# psc's 96-channel layers in float32), whatever the input's length. The
+# forward passes of the eight window-path layers of both default models on
+# a length-ordered batch of 32 scoring utterances (about 9.6k conv1 rows),
+# 2-core Xeon, summed: 1024 to 4096 rows 95-106 ms, 512 110 ms, 8192
+# 106-112 ms and one block for the whole batch 115-119 ms, where psc's
+# 96 -> 96 layers slowed from about 14 to 21 ms each; the flat optimum makes
+# this a constant, not a setting
 _ROWS = 4096
 
 
-def _forward_over_window(channels, filters):
-    """Whether a convolution's forward pass multiplies the windows of its
-    kept rows by all its filters in one GEMM (inner dimension width *
-    channels) instead of running one GEMM per tap over the flat rows: when
-    it has at least as many filters as input channels. Per output row the
-    window copies width * channels values, where the flat taps add width
-    fresh products of `filters` values each into their sum, so the window
-    moves less memory only with at least as many filters as channels. With
-    fewer it was slower: psc's 96 -> 20 output layer at the scoring shape
-    took 5.1 ms on the flat taps and 6.8 ms on the window."""
+def _over_window(channels, filters):
+    """Whether a convolution with `channels` input channels and `filters`
+    filters multiplies the windows of its kept rows by all its filters in
+    one GEMM (inner dimension width * channels): when it has at least as
+    many filters as channels. Per output row the window copies width *
+    channels values, where per-tap products add width fresh products of
+    `filters` values each, so the window moves less memory only with at
+    least as many filters as channels. With fewer it was slower: psc's
+    96 -> 20 output layer at the scoring shape took 5.1 ms on the flat taps
+    and 6.8 ms on the window. The input gradient is itself a convolution,
+    of the output gradient (K channels) with the flipped filters (D
+    filters), so the same rule picks its path with the roles swapped."""
     return filters >= channels
 
 
-def _taps_over_kept_rows(kept, flat, channels, filters):
-    """Whether a convolution's input gradient scatters from its `kept`
-    output rows only instead of running its taps over all `flat` =
-    N - width + 1 window rows: when fewer than 3/4 of the flat rows are
-    kept and the layer has more filters than input channels. The kept-row
-    gradient builds a (kept, width * channels) product and adds it to the
-    input rows tap by tap, so it pays only when most windows straddle two
-    utterances. With few filters, or most rows kept, the flat taps were
-    faster: at psc's 96 -> 96 layers, keeping 86% of the rows, per-tap
-    kept-row gradients took 14.4 ms against 9.9 ms, and at 96 -> 6 and
-    96 -> 20 channels, keeping 60%, they were slower too."""
-    return 4 * kept < 3 * flat and filters > channels
-
-
 def _window_blocks(rows):
-    """(start, stop) of the blocks of `_ROWS` rows that cover `rows` rows.
-    A last block of one row joins the one before it: BLAS runs a one-row
-    product with another kernel, which can round the last bit differently
-    from the same row inside a GEMM."""
-    starts = list(range(0, rows - 1, _ROWS)) or [0]
-    return zip(starts, starts[1:] + [rows])
+    """(start, stop) of ceil(rows / `_ROWS`) near-equal blocks that cover
+    `rows` rows. Beyond `_ROWS` rows every block holds at least `_ROWS` / 2
+    rows: BLAS runs products of a few rows with other kernels, which can
+    round the last bit differently from the same rows inside a tall GEMM."""
+    count = max(1, -(-rows // _ROWS))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
@@ -165,12 +160,12 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     bits of a separate ReLU's.
 
     Layout: a layer with at least as many filters as input channels
-    (`_forward_over_window`: cnn-pool's conv1-3, psc's conv1-5) computes
-    its kept rows only. It gathers the tap-major window of each kept output
-    row, x[r:r+width] as width*D values, and multiplies blocks of `_ROWS`
-    such rows by filters.reshape(K, width*D).T straight into the output:
-    one GEMM per block with inner dimension width*D (Chellapilla et al.
-    2006), no row whose window straddles two utterances, no per-tap sum.
+    (`_over_window`: cnn-pool's conv1-3, psc's conv1-5) computes its kept
+    rows only. It gathers the tap-major window of each kept output row,
+    x[r:r+width] as width*D values, and multiplies blocks of at most
+    `_ROWS` such rows by filters.reshape(K, width*D).T straight into the
+    output: one GEMM per block with inner dimension width*D (Chellapilla et
+    al. 2006), no row whose window straddles two utterances, no per-tap sum.
     The blocks bound the window matrix; a full-batch one would be many
     times the input on long utterances. A layer with fewer filters (psc's
     96 -> 20 and 96 -> 6 output layers) runs each tap i as a single GEMM
@@ -180,40 +175,54 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     boundary, whose windows straddle it. Either way the next layer gets a
     packed matrix again, and each output row is the same inner product
     whatever rows share its GEMM, so packing only turns many small GEMMs
-    into tall ones: at the default models' layer sizes the output is
-    bitwise that of one call per utterance. The exception is an utterance
-    with a single output row: run on its own it is a one-row product, which
-    BLAS computes with another kernel that can round the last bit
-    differently. BLAS libraries also switch kernels for other small
-    products (OpenBLAS below roughly 1e5 multiply-adds per row, e.g. a
-    6-word psc output layer on short utterances; its float32 kernels for a
-    filter count that is not a multiple of 4 also round by row count).
+    into tall ones: an utterance's rows in a batch are bitwise those of a
+    call on it alone once it has enough rows to fill a tall GEMM's kernel.
+    BLAS runs products of a few rows with other kernels that can round the
+    last bit differently. At the default models' float32 shapes, probing
+    1-128 output rows against a 2000-row batch mate on three seeds, a lone
+    utterance differed with up to 10 rows at 96 -> 96, 60 at 96 -> 20
+    (flat taps), 12 at 39 -> 96, 18 at 39 -> 64, 4 at 64 -> 256 and 1 at
+    256 -> 1024 (2-core Xeon, OpenBLAS 0.3.31). OpenBLAS also switches
+    kernels for other small products (below roughly 1e5 multiply-adds per
+    row, e.g. a 6-word psc output layer on short utterances; its float32
+    kernels for a filter count that is not a multiple of 4 also round by
+    row count).
 
-    Backward: the filter gradient is one GEMM, g.T @ win, over the
-    (N_out, width*D) window matrix of the kept rows: row j is the window of
-    output row j. It is rebuilt here rather than kept from the forward
-    pass, which would hold about 110 MB more through a psc training step.
-    In float32 that matrix is gathered tap-major, (width, D) per row, so the
-    copy moves runs of D contiguous values (1.5 ms against 7.3 ms for the
-    d-major gather on a 96->96 psc layer at B=32, T=220, 2-core Xeon) and
-    the product is already in (K, width, D) order. The inner dimension
-    stays N_out, so every element is the same sum in the same order as with
-    the d-major (D, width) matrix; only the order of the output columns
-    changes. OpenBLAS's dgemm (0.3.31, x86-64) rounds the last
-    (width*D mod 8) columns with an edge kernel that sums differently,
-    while its sgemm rounds every column alike, so float64 keeps the d-major
-    order to stay bitwise (the 39-channel first layer has 351 columns).
-    Where fewer than 3/4 of the flat rows are kept and there are more
-    filters than input channels (`_taps_over_kept_rows`; in training only
-    cnn-pool's conv3, 256 -> 1024, width 11, about 18 frames per
-    utterance), the input gradient is one GEMM, g @ filters.reshape(K,
-    width*D), whose tap-i columns are added to gx[keep + i] tap by tap
-    (about 10.2 -> 8.0 ms against per-tap GEMMs at conv3's shape, and 21 ms
-    on the flat taps). Elsewhere it runs one GEMM per tap over the output
-    gradient scattered back to the flat rows, where the straddling rows get
-    zero: gx[i:i+n] += g_flat @ filters[:, i]. Both add the same products
-    in tap order, and adding the zero rows changes no sum, so at the
-    default models' shapes both paths give the same bits.
+    Backward runs over the forward's blocks of at most `_ROWS` rows, so
+    no window matrix grows with the batch. The filter gradient sums
+    g[s:e].T @ win[s:e] block by block, over the window matrix of the kept
+    rows (row j is the window of output row j). It is rebuilt here rather
+    than kept from the forward pass, which would hold about 110 MB more
+    through a psc training step. In float32 the window is gathered
+    tap-major, (width, D) per row, so the copy moves runs of D contiguous
+    values (1.5 ms against 7.3 ms for the d-major gather on a 96->96 psc
+    layer at B=32, T=220, 2-core Xeon) and the product is already in
+    (K, width, D) order. Within a block every element is the same sum in
+    the same order as with the d-major (D, width) window; only the order of
+    the output columns changes. OpenBLAS's dgemm (0.3.31, x86-64) rounds
+    the last (width*D mod 8) columns with an edge kernel that sums
+    differently, while its sgemm rounds every column alike, so float64
+    keeps the d-major order to stay bitwise (the 39-channel first layer has
+    351 columns).
+
+    The input gradient is itself a valid convolution: of the output
+    gradient, zero-padded by width - 1 rows, with the flipped filters
+    (Dumoulin & Visin, "A guide to convolution arithmetic", 2016). It
+    picks its path by the forward's rule with the roles swapped, D filters
+    over K channels. Where D >= K (psc's conv2-6), the output gradient is
+    scattered to rows keep + width - 1 of a zeroed (N + width - 1, K)
+    array, the straddling rows staying zero. Input row r's window is then
+    the contiguous run of width*K values from row r on, an as_strided view
+    with no gather; each block of it is copied contiguous (a GEMM on the
+    overlapping view itself was slower) and multiplied by the flipped
+    filters, (width*K, D), into gx. Where D < K (cnn-pool's conv2 and
+    conv3), one GEMM over the kept rows, g @ filters.reshape(K, width*D),
+    yields every tap's product, and its tap-i columns are added to
+    gx[keep + i] tap by tap: the per-tap products in tap order, bitwise
+    the per-tap GEMMs at those layers. That product is not blocked, since
+    blocks would add an input row's taps out of tap order. In float64 the
+    taps stay one GEMM each, for dgemm's edge columns as above (at the
+    39-channel first layer the one GEMM moved the last bit).
     """
     if activation not in CONV_ACTIVATIONS:
         raise ConfigError(f"unknown convolution activation {activation!r}")
@@ -239,9 +248,9 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     out_len = conv_out_lengths(lengths, width)
     N_out = int(out_len.sum())
     keep = _segment_rows(_offsets(lengths), out_len) if len(lengths) > 1 else None
-    if _forward_over_window(D, K):
+    kept = np.arange(n) if keep is None else keep
+    if _over_window(D, K):
         win = sliding_window_view(x.data, width, axis=0).transpose(0, 2, 1)
-        kept = np.arange(n) if keep is None else keep
         weights = filters.data.reshape(K, width * D).T
         out_data = np.empty((N_out, K), dtype=np.result_type(x.data, filters.data))
         for s, e in _window_blocks(N_out):
@@ -265,33 +274,38 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
                 g *= out.data > 0
             if bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=0))
+            tap_major = x.data.dtype == np.float32
             if filters.requires_grad:
                 win = sliding_window_view(x.data, width, axis=0)  # (n, D, width)
-                tap_major = win.dtype == np.float32
                 if tap_major:
                     win = win.transpose(0, 2, 1)
-                win = np.ascontiguousarray(win if keep is None else win[keep])
-                gf = g.T @ win.reshape(N_out, width * D)
-                del win
+                parts = (g[s:e].T @ win[kept[s:e]].reshape(e - s, width * D)
+                         for s, e in _window_blocks(N_out))
+                gf = next(parts)  # the first product starts the sum: no zero fill
+                for part in parts:
+                    gf += part
                 gf = (gf.reshape(K, width, D) if tap_major else
                       np.ascontiguousarray(gf.reshape(K, D, width).transpose(0, 2, 1)))
                 filters.accumulate_grad(gf)
                 del gf  # before the input gradient allocates: lower peak RSS
             if x.requires_grad:
-                gx = np.zeros((N, D), dtype=x.data.dtype)
-                if _taps_over_kept_rows(N_out, n, D, K):
-                    gw = g @ filters.data.reshape(K, width * D)
-                    for i in range(width):
-                        gx[keep + i] += gw[:, i * D:(i + 1) * D]
-                    del gw
+                if _over_window(K, D):
+                    gp = np.zeros((N + width - 1, K), dtype=g.dtype)
+                    gp[kept + width - 1] = g
+                    windows = as_strided(gp, (N, width * K), (K * gp.itemsize, gp.itemsize))
+                    flipped = filters.data[:, ::-1, :].transpose(1, 0, 2).reshape(width * K, D)
+                    gx = np.empty((N, D), dtype=x.data.dtype)
+                    for s, e in _window_blocks(N):
+                        np.matmul(np.ascontiguousarray(windows[s:e]), flipped, out=gx[s:e])
                 else:
-                    if keep is None:
-                        g_flat = g
-                    else:
-                        g_flat = np.zeros((n, K), dtype=g.dtype)
-                        g_flat[keep] = g
-                    for i in range(width):
-                        gx[i:i + n] += g_flat @ filters.data[:, i, :]
+                    gx = np.zeros((N, D), dtype=x.data.dtype)
+                    if tap_major:
+                        gw = g @ filters.data.reshape(K, width * D)
+                        taps = (gw[:, i * D:(i + 1) * D] for i in range(width))
+                    else:  # dgemm's edge columns: see the filter gradient
+                        taps = (g @ filters.data[:, i, :] for i in range(width))
+                    for i, tap in enumerate(taps):
+                        gx[kept + i] += tap
                 x.accumulate_grad(gx)
         out._backward = backward
     return out.reshape(rows, -1, K) if rows else out

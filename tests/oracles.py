@@ -154,35 +154,47 @@ def pad(rows, fill=0.0):
 
 
 def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
-    """The conv1d_valid backward that builds the window matrix d-major.
+    """The conv1d_valid backward built from d-major windows, one path per
+    gradient, in the fast path's summation order.
 
-    x: packed (N, D) with `lengths`; grad_out: packed (N_out, K). Takes the
-    filter gradient with `np.tensordot` over the kept rows of a
-    sliding-window view and transposes it to (K, width, D), and runs the
-    input gradient one GEMM per tap over the flat output gradient, whose
-    rows that straddle two utterances are zero. The fast path must match it
-    bitwise (up to the sign of zeros). Returns (d_bias, d_filters, d_x) in
-    `dtype`.
+    x: packed (N, D) with `lengths`; grad_out: packed (N_out, K). The
+    filter gradient is `np.tensordot` over the d-major windows of the kept
+    rows of a sliding-window view, summed block by block over
+    `ops._window_blocks(N_out)` and transposed to (K, width, D). The input
+    gradient, with at least as many input channels as filters, is one GEMM
+    over every row's window of the output gradient, zero-padded in front
+    by width - 1 rows, with the flipped filters; with fewer channels, one
+    GEMM per tap over the kept rows, added tap by tap. The fast path must
+    match it bitwise (up to the sign of zeros). Returns (d_bias,
+    d_filters, d_x) in `dtype`.
     """
     from numpy.lib.stride_tricks import sliding_window_view
+
+    from gkw import ops
 
     x = np.asarray(x, dtype=dtype)
     filters = np.asarray(filters, dtype=dtype)
     g = np.asarray(grad_out, dtype=dtype)
     N, D = x.shape
     K, width, _ = filters.shape
-    n = N - width + 1
     starts = np.cumsum(lengths) - lengths
     keep = np.concatenate([s + np.arange(l - width + 1) for s, l in zip(starts, lengths)])
     d_bias = g.sum(axis=0)
     win = sliding_window_view(x, width, axis=0)[keep]          # (N_out, D, width)
-    gf = np.tensordot(g, win, axes=([0], [0]))
+    gf = np.zeros((K, D, width), dtype=dtype)
+    for s, e in ops._window_blocks(len(keep)):
+        gf += np.tensordot(g[s:e], win[s:e], axes=([0], [0]))
     d_filters = np.ascontiguousarray(gf.transpose(0, 2, 1))
-    g_flat = np.zeros((n, K), dtype=dtype)
-    g_flat[keep] = g
-    d_x = np.zeros((N, D), dtype=dtype)
-    for i in range(width):
-        d_x[i:i + n] += g_flat @ filters[:, i, :]
+    if D >= K:
+        padded = np.zeros((N + width - 1, K), dtype=dtype)
+        padded[keep + width - 1] = g
+        windows = sliding_window_view(padded, width, axis=0).transpose(0, 2, 1)
+        flipped = np.stack([filters[:, width - 1 - j, :] for j in range(width)])
+        d_x = windows.reshape(N, width * K) @ flipped.reshape(width * K, D)
+    else:
+        d_x = np.zeros((N, D), dtype=dtype)
+        for i in range(width):
+            d_x[keep + i] += g @ filters[:, i, :]
     return d_bias, d_filters, d_x
 
 

@@ -1,5 +1,7 @@
 """Layer primitives against brute-force oracles and finite differences."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -210,40 +212,21 @@ def test_conv_backward_is_bitwise_the_reference_at_default_layer_shapes(make, dt
 
 
 TRAINING_FRAMES = (128, 259)  # the default corpus's training utterances
+SCORING_FRAMES = (127, 610)  # the utterances the score-long workload scores
 
 
-def _training_batches():
-    """Frame counts of B = 32 training utterances: three random draws from
-    the training range, plus all-shortest and all-longest."""
-    rng = np.random.default_rng(43)
-    lo, hi = TRAINING_FRAMES
-    draws = [rng.integers(lo, hi + 1, size=32) for _ in range(3)]
-    return draws + [np.full(32, lo), np.full(32, hi)]
-
-
-def _takes_kept_rows(lengths, D, K, width):
-    n = int(lengths.sum()) - width + 1
-    return ops._taps_over_kept_rows(int(ops.conv_out_lengths(lengths, width).sum()), n, D, K)
-
-
+@pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
 @pytest.mark.parametrize("make", [cnn_pool, psc])
-def test_only_cnn_pool_conv3_takes_the_kept_row_path(make):
-    # the kept-row taps were slower at psc's shapes; a later edit of the
-    # rule must not move psc, or cnn-pool's longer layers, onto them
+def test_input_gradient_takes_the_window_where_channels_are_at_least_filters(make, frames):
+    # the input gradient convolves K channels with D filters, so the
+    # forward's rule swapped: psc's conv2-6 (96 -> 96, 96 -> 20) take the
+    # padded window, cnn-pool's conv2 and conv3 (64 -> 256, 256 -> 1024) the
+    # kept-row GEMM; conv1's input, the features, needs no gradient
     spec = make(20)
-    for frames in _training_batches():
-        layers = _default_conv_layers(spec, frames)
-        taken = [_takes_kept_rows(*layer) for layer in layers]
-        expected = [make is cnn_pool and i == 2 for i in range(len(layers))]
-        assert taken == expected, f"{spec.variant} on {frames.min()}-{frames.max()} frames"
-
-
-def test_short_layer_with_few_filters_keeps_the_flat_taps():
-    # psc(6)'s 96 -> 6 output layer on 64-frame utterances keeps 58% of its
-    # flat rows, but with 6 filters the row copies cost more than they save
-    lengths, D, K, width = _default_conv_layers(psc(6), np.full(8, 64))[-1]
-    assert (D, K) == (96, 6) and 4 * (lengths - width + 1).sum() < 3 * (lengths.sum() - width + 1)
-    assert not _takes_kept_rows(lengths, D, K, width)
+    lengths = np.random.default_rng(48).integers(frames[0], frames[1] + 1, size=32)
+    layers = _default_conv_layers(spec, lengths)[1:]
+    taken = [ops._over_window(K, D) for _, D, K, _ in layers]
+    assert taken == ([False] * 2 if make is cnn_pool else [True] * 5)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -257,7 +240,7 @@ def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
     rng = np.random.default_rng(44)
     frames = rng.integers(TRAINING_FRAMES[0], TRAINING_FRAMES[1] + 1, size=32)
     lengths, D, K, width = _default_conv_layers(cnn_pool(20), frames)[2]
-    assert (D, K, width) == (256, 1024, 11) and _takes_kept_rows(lengths, D, K, width)
+    assert (D, K, width) == (256, 1024, 11) and not ops._over_window(K, D)
     x_data = rng.normal(size=(int(lengths.sum()), D)).astype(dtype)
     x = parameter(x_data, dtype=dtype)
     f = parameter(rng.normal(size=(K, width, D)), dtype=dtype)
@@ -280,9 +263,6 @@ def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
         assert g.dtype == dtype and np.array_equal(g, want), f"{name} gradient"
 
 
-SCORING_FRAMES = (127, 610)  # the utterances the score-long workload scores
-
-
 @pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
 @pytest.mark.parametrize("make", [cnn_pool, psc])
 def test_window_forward_takes_the_layers_with_as_many_filters_as_channels(make, frames):
@@ -290,19 +270,19 @@ def test_window_forward_takes_the_layers_with_as_many_filters_as_channels(make, 
     # default layer has at least as many filters as input channels
     spec = make(20)
     lengths = np.random.default_rng(47).integers(frames[0], frames[1] + 1, size=32)
-    taken = [ops._forward_over_window(D, K) for _, D, K, _ in _default_conv_layers(spec, lengths)]
+    taken = [ops._over_window(D, K) for _, D, K, _ in _default_conv_layers(spec, lengths)]
     assert taken == ([True] * 3 if make is cnn_pool else [True] * 5 + [False])
 
 
 @pytest.mark.parametrize("dtype, tol", CONV_TOLERANCES)
 @pytest.mark.parametrize("layout", ["packed", "batch", "lone"])
 def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, dtype, tol):
-    # kept rows that fill a `_ROWS` block and spill into the next: each
-    # utterance's rows are bitwise those of a call on it alone, whichever
-    # block they fall in, and within tolerance of the oracle
+    # kept rows that take two blocks: each utterance's rows are bitwise
+    # those of a call on it alone, whichever block they fall in, and within
+    # tolerance of the oracle
     rng = np.random.default_rng(46)
     D, K, width = 39, 96, 9  # psc's conv1
-    assert ops._forward_over_window(D, K)
+    assert ops._over_window(D, K)
     kept = ops._ROWS + 37
     if layout == "packed":
         out_len = np.full(19, kept // 19)
@@ -321,7 +301,7 @@ def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, dty
     out = ops.conv1d_valid(Tensor(x, dtype=dtype), f, b, lengths=lens).data
     assert out.dtype == dtype
     out = out.reshape(-1, K)
-    assert out.shape[0] % ops._ROWS > 1
+    assert len(list(ops._window_blocks(out.shape[0]))) == 2
     want = oracle_conv1d(pad(rows), f, b, lengths,
                          np.zeros((len(rows), lengths.max() - width + 1, K)))[0]
     for got, u, w, n in zip(unpack(out, out_len), rows, want, out_len):
@@ -333,9 +313,58 @@ def test_window_blocks_never_end_in_a_lone_row():
     R = ops._ROWS
     assert list(ops._window_blocks(1)) == [(0, 1)]
     assert list(ops._window_blocks(R)) == [(0, R)]
-    assert list(ops._window_blocks(R + 1)) == [(0, R + 1)]
-    assert list(ops._window_blocks(R + 2)) == [(0, R), (R, R + 2)]
-    assert list(ops._window_blocks(2 * R + 1)) == [(0, R), (R, 2 * R + 1)]
+    assert list(ops._window_blocks(R + 1)) == [(0, R // 2), (R // 2, R + 1)]
+    assert list(ops._window_blocks(R + 2)) == [(0, R // 2 + 1), (R // 2 + 1, R + 2)]
+    assert list(ops._window_blocks(2 * R + 1)) == [(0, 2731), (2731, 5462), (5462, 2 * R + 1)]
+    for rows in (R + 1, R + 8, 2 * R, 2 * R + 1, 3 * R - 5, 5 * R + 3):
+        blocks = list(ops._window_blocks(rows))
+        assert len(blocks) == -(-rows // R) and blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(e == s2 for (_, e), (s2, _) in zip(blocks, blocks[1:]))
+        assert all(R // 2 <= e - s <= R for s, e in blocks), rows
+
+
+@pytest.mark.parametrize("tail", range(2, 9))
+def test_conv_short_tail_block_keeps_the_last_utterance_bitwise_its_lone_call(tail):
+    # kept rows _ROWS + tail at 96 -> 96 in float32: the last utterance's
+    # rows must not land in a block of a few rows, which BLAS runs with
+    # another kernel than the same rows alone
+    rng = np.random.default_rng(49)
+    D = K = 96
+    width = 10
+    out_len = np.array([ops._ROWS // 2, ops._ROWS // 2 - 100, 100 + tail])
+    lengths = out_len + width - 1
+    rows = [rng.normal(size=(n, D)).astype(np.float32) for n in lengths]
+    f = rng.normal(size=(K, width, D)).astype(np.float32)
+    b = rng.normal(size=K).astype(np.float32)
+    out = ops.conv1d_valid(Tensor(pack(rows)[0]), f, b, lengths=lengths).data
+    assert out.shape[0] == ops._ROWS + tail
+    alone = ops.conv1d_valid(Tensor(rows[-1]), f, b).data
+    assert np.array_equal(unpack(out, out_len)[-1], alone)
+
+
+def test_conv_backward_over_three_blocks_peaks_below_the_whole_window():
+    # the filter gradient's window and the input gradient's padded windows
+    # are built block by block, never as one (N_out, width * D) matrix
+    rng = np.random.default_rng(50)
+    D = K = 96
+    width = 10
+    lengths = np.full(12, 1010)
+    n_out = int(ops.conv_out_lengths(lengths, width).sum())
+    assert len(list(ops._window_blocks(n_out))) == 3
+    x = parameter(rng.normal(size=(int(lengths.sum()), D)))
+    f = parameter(rng.normal(size=(K, width, D)) * 0.1)
+    b = parameter(np.zeros(K))
+    out = ops.conv1d_valid(x, f, b, lengths=lengths)
+    out.grad = rng.normal(size=out.data.shape).astype(np.float32)
+    window_bytes = n_out * width * D * 4
+    tracemalloc.start()
+    try:
+        out._backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and f.grad is not None
+    assert peak < window_bytes, f"backward peaked at {peak / window_bytes:.2f}x the window"
 
 
 def test_conv_one_kept_row_per_utterance_matches_oracle():
@@ -343,7 +372,7 @@ def test_conv_one_kept_row_per_utterance_matches_oracle():
     # nearly every window straddles two utterances
     rng = np.random.default_rng(45)
     B, D, K, width = 8, 5, 6, 4
-    assert _takes_kept_rows(np.full(B, width), D, K, width)
+    assert not ops._over_window(K, D)
     assert _conv_against_oracle(rng, [width] * B, width, D, K, width, np.float64) <= 1e-12
 
 
