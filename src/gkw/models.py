@@ -489,11 +489,22 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
     packed: `forward` puts its utterances back to back, so no padding frame
     is computed and no utterance's gradient depends on another's frames.
     Stops early when dev loss has not improved for `patience` epochs.
-    Each step's gradients are freed as soon as Adam has applied them, so
-    none lives through the next forward pass, the dev-loss pass or the
-    copy of the best parameters; at the end the model adopts that copy
-    without copying it again. `progress`, if given, is called as
-    progress(epoch, train_loss, dev_loss) after each epoch.
+    `progress`, if given, is called as progress(epoch, train_loss,
+    dev_loss) after each epoch.
+
+    Adam steps each parameter inside backward, as soon as its gradient is
+    complete, and drops that gradient, so a step holds one layer's
+    parameter gradients at a time and none lives past the backward sweep.
+    A non-finite gradient raises a `NumericError` naming the epoch, batch
+    and parameter after the parameters whose gradients finished earlier in
+    that sweep have been stepped; no model is returned then, so nothing
+    sees the half-stepped parameters.
+
+    The best parameters are copied only when the next epoch is about to
+    overwrite them: the first copy allocates, later ones are written into
+    it. A run whose last epoch is its best copies nothing and returns the
+    model as it is; otherwise the model adopts the copy without copying it
+    again.
     """
     from .optim import Adam
 
@@ -524,12 +535,19 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
 
     history = {"train_loss": [], "dev_loss": []}
     best_dev = np.inf
-    best_state = None  # epoch 1's finite dev loss always beats np.inf
+    best_state = None
     best_epoch = 0
     stale = 0
     epochs_run = 0
     for epoch in range(1, config.epochs + 1):
         epochs_run = epoch
+        if epoch > 1 and best_epoch == epoch - 1:
+            # keep the best parameters before this epoch overwrites them
+            if best_state is None:
+                best_state = model.state()
+            else:
+                for name, p in model.params.items():
+                    np.copyto(best_state[name], p.data)
         order = [train_ids[k] for k in rng.permutation(len(train_ids))]
         running = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -538,9 +556,8 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
             targets = np.stack([target_map[i] for i in chunk])
             try:
                 loss = bow_loss(model.forward(batch, lengths), targets)
-                loss.backward()
+                loss.backward(on_leaf_grad=opt.apply)
                 opt.step()
-                opt.zero_grad()
             except NumericError as err:
                 raise NumericError(
                     f"epoch {epoch}, batch {start // config.batch_size} "
@@ -555,7 +572,6 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
             progress(epoch, train_loss, dev_loss)
         if dev_loss < best_dev:
             best_dev = dev_loss
-            best_state = model.state()
             best_epoch = epoch
             stale = 0
         else:
@@ -563,7 +579,8 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
             if stale >= config.patience:
                 break
 
-    model.load_state(best_state)
+    if best_epoch < epochs_run:  # epoch 1's finite dev loss always beats np.inf
+        model.load_state(best_state)
     metadata = {
         "variant": spec.variant,
         "seed": config.seed,

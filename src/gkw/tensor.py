@@ -94,10 +94,7 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
+    def backward(self, on_leaf_grad=None):
         """Reverse-mode sweep seeded from this scalar.
 
         Visits each reachable node exactly once, in reverse topological
@@ -108,6 +105,15 @@ class Tensor:
         gradients, alive until Python's cycle collector happens to run.
         A derived node's gradient is dropped too once its closure has pushed
         it to the inputs; only leaves (parameters, inputs) keep theirs.
+
+        `on_leaf_grad(leaf)`, if given, is called once for each leaf that
+        requires a gradient, as soon as that gradient is complete: right
+        after the closure of the leaf's last consumer in the sweep has run
+        (consumers counted over the sweep's topological order), or at once
+        for a seed that is itself a leaf. An optimizer can step the leaf
+        there and drop its gradient, so a sweep holds the gradients of one
+        layer's parameters at a time. An exception raised by the callback
+        propagates, and the rest of the sweep does not run.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -133,11 +139,25 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
         self.grad = np.ones_like(self.data)
+        uses = {}  # leaf id -> consumers whose closures have not run yet
+        if on_leaf_grad is not None:
+            for node in topo:
+                for p in node._parents:
+                    if p.requires_grad and not p._parents:
+                        uses[id(p)] = uses.get(id(p), 0) + 1
+            if not self._parents:
+                on_leaf_grad(self)
         for node in reversed(topo):
             backward, node._backward = node._backward, None
             if backward is not None:
                 backward()
                 node.grad = None
+            for p in node._parents:
+                left = uses.get(id(p))
+                if left is not None:
+                    uses[id(p)] = left - 1
+                    if left == 1:
+                        on_leaf_grad(p)
 
     # -- small arithmetic closure, enough for losses and tests ------------
 

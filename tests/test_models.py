@@ -439,9 +439,60 @@ def test_train_early_stopping_restores_best():
     )
     dev = meta["dev_loss"]
     assert meta["best_epoch"] == int(np.argmin(dev)) + 1
-    if meta["epochs_run"] < 40:
-        # stopped early: the tail after the best epoch is all non-improving
-        assert meta["epochs_run"] - meta["best_epoch"] >= 3
+    # stopped early: the tail after the best epoch is all non-improving
+    assert meta["epochs_run"] < 40
+    assert meta["epochs_run"] - meta["best_epoch"] >= 3
+    # the returned parameters are the best epoch's, bit for bit
+    assert models._epoch_loss(model, feats, targs, ids[12:], 4) == dev[meta["best_epoch"] - 1]
+
+
+def _recording(fn, name, calls, after=None):
+    """`fn`, appending `name` to `calls` when it is entered and `after`
+    when it returns."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        result = fn(*args, **kwargs)
+        if after is not None:
+            calls.append(after)
+        return result
+    return wrapper
+
+
+@pytest.mark.parametrize("epochs, copies", [(1, 0), (5, 1)])
+def test_train_whose_last_epoch_is_best_returns_the_live_model(monkeypatch, epochs, copies):
+    """The best parameters are copied only before an epoch overwrites them,
+    once, and later improving epochs write into that copy."""
+    rng = np.random.default_rng(19)
+    spec = toy_spec("psc", vocab_size=5)
+    feats, targs, ids = toy_corpus(rng, spec, n=16)
+    calls = []
+    monkeypatch.setattr(SpeechModel, "state", _recording(SpeechModel.state, "state", calls))
+    monkeypatch.setattr(SpeechModel, "load_state",
+                        _recording(SpeechModel.load_state, "load_state", calls))
+    model, meta = train(feats, targs, ids[:12], ids[12:], spec,
+                        TrainConfig(epochs=epochs, batch_size=4, seed=2, patience=3))
+    assert meta["best_epoch"] == meta["epochs_run"] == epochs
+    assert calls == ["state"] * copies
+    assert models._epoch_loss(model, feats, targs, ids[12:], 4) == meta["dev_loss"][-1]
+
+
+def test_train_steps_adam_once_per_batch_after_backward_returns(monkeypatch):
+    """Adam.step ends each training step after backward has returned, and
+    the dev pass runs no backward: a trace tells steps and dev passes apart
+    by these calls."""
+    from gkw.optim import Adam
+
+    rng = np.random.default_rng(19)
+    spec = toy_spec("psc", vocab_size=5)
+    feats, targs, ids = toy_corpus(rng, spec, n=16)
+    calls = []
+    monkeypatch.setattr(Tensor, "backward", _recording(Tensor.backward, "backward", calls,
+                                                       after="backward returned"))
+    monkeypatch.setattr(Adam, "step", _recording(Adam.step, "step", calls))
+    _, meta = train(feats, targs, ids[:10], ids[10:], spec,
+                    TrainConfig(epochs=2, batch_size=4, seed=2, patience=3))
+    assert meta["epochs_run"] == 2
+    assert calls == ["backward", "backward returned", "step"] * (2 * 3)
 
 
 def test_train_validates_inputs():

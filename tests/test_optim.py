@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gkw.errors import NumericError
+from gkw.models import SpeechModel, bow_loss, toy_spec
 from gkw.optim import _BLOCK, Adam
 from gkw.tensor import parameter
 
@@ -52,7 +53,6 @@ def test_five_step_trajectory_matches_reference_loop():
     got = []
     for _ in range(5):
         loss = p ** 2
-        opt.zero_grad()
         loss.backward()
         opt.step()
         got.append(p.data[0])
@@ -80,7 +80,6 @@ def test_deterministic_updates():
         opt = Adam([("p", p)], lr=1e-3)
         for _ in range(20):
             loss = ((p * p).sum() + (p * 0.3).sum())
-            opt.zero_grad()
             loss.backward()
             opt.step()
         return p.data.tobytes()
@@ -152,3 +151,64 @@ def test_nonfinite_gradient_in_a_later_block_names_parameter():
     with pytest.raises(NumericError, match="dense.weights"):
         opt.step()
     assert np.array_equal(big.data, before)  # no block was updated
+
+
+# -- fused step: apply each parameter inside backward --------------------------
+
+def _toy_run(variant, dtype, on_leaf_grad=None, steps=10):
+    """`steps` Adam steps of a toy model on seeded batches; returns its
+    parameters and both moments as bytes. `on_leaf_grad(model, opt)` makes
+    backward's callback; None runs backward without one."""
+    spec = toy_spec(variant, vocab_size=4)
+    model = SpeechModel(spec, seed=3, dtype=dtype)
+    opt = Adam(model.parameters(), lr=1e-2)
+    callback = None if on_leaf_grad is None else on_leaf_grad(model, opt)
+    rng = np.random.default_rng(11)
+    for _ in range(steps):
+        lengths = rng.integers(spec.min_frames, spec.min_frames + 9, size=3)
+        feats = rng.normal(size=(3, int(lengths.max()), spec.input_dim))
+        targets = rng.uniform(size=(3, spec.vocab_size))
+        bow_loss(model.forward(feats, lengths), targets).backward(on_leaf_grad=callback)
+        opt.step()
+    return [x.tobytes() for x in (*(p.data for _, p in opt.params), *opt.m, *opt.v)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_fused_steps_are_bitwise_the_separate_ones(variant, dtype):
+    fused = _toy_run(variant, dtype, lambda model, opt: opt.apply)
+    assert fused == _toy_run(variant, dtype)
+
+
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_each_callback_sees_gradients_of_one_layer_only(variant):
+    calls = []
+
+    def check(model, opt):
+        def callback(p):
+            layer = next(n for n, q in model.params.items() if q is p).split(".")[0]
+            held = {n.split(".")[0] for n, q in model.params.items() if q.grad is not None}
+            assert held <= {layer}, (layer, held)
+            calls.append(layer)
+            opt.apply(p)
+        return callback
+
+    _toy_run(variant, np.float32, check, steps=2)
+    assert len(calls) == 2 * len(SpeechModel(toy_spec(variant, vocab_size=4)).params)
+
+
+def test_apply_leaves_a_foreign_tensor_alone_and_refuses_a_second_step():
+    p = parameter(np.array([1.0, 2.0]), dtype=np.float64)
+    other = parameter(np.array([5.0]), dtype=np.float64)
+    opt = Adam([("p", p)], lr=0.1)
+    other.grad = np.array([1.0])
+    opt.apply(other)
+    assert np.array_equal(other.data, [5.0]) and other.grad is not None
+    p.grad = np.array([1.0, -1.0])
+    opt.apply(p)
+    assert p.grad is None and opt.step_count == 0
+    with pytest.raises(ValueError, match="'p'"):
+        opt.apply(p)
+    before = p.data.copy()
+    opt.step()  # p was already applied: step only ends the step
+    assert np.array_equal(p.data, before) and opt.step_count == 1

@@ -182,3 +182,56 @@ def test_no_grad_without_requires():
 def test_default_dtype_is_float32():
     t = Tensor([1, 2, 3])
     assert t.data.dtype == np.float32
+
+
+# -- on_leaf_grad: a leaf's gradient handed over once it is complete -----------
+
+def test_leaf_used_twice_fires_once_after_both_contributions():
+    p = parameter([1.5, -2.0], dtype=np.float64)
+    seen = []
+    ((p * p + p).sum()).backward(on_leaf_grad=lambda leaf: seen.append((leaf, leaf.grad.copy())))
+    assert len(seen) == 1 and seen[0][0] is p
+    assert np.array_equal(seen[0][1], 2.0 * p.data + 1.0)
+
+
+def test_leaf_fires_after_its_last_consumer_in_the_sweep():
+    # `a` feeds the first mul and `b` the second one, which runs first
+    a = parameter([2.0], dtype=np.float64)
+    b = parameter([3.0], dtype=np.float64)
+    hidden = a * 4.0
+    loss = (hidden * b).sum()
+    order = []
+    loss.backward(on_leaf_grad=lambda leaf: order.append(
+        (leaf, hidden.grad is None, a.grad is None)))
+    assert [leaf for leaf, _, _ in order] == [b, a]
+    # when b fires, hidden's gradient is pushed but a's closure has not run
+    assert order[0][1:] == (False, True)
+    assert order[1][1:] == (True, False)
+
+
+def test_unreached_leaves_and_non_leaves_never_fire():
+    p = parameter([1.0, 2.0], dtype=np.float64)
+    unused = parameter([5.0], dtype=np.float64)
+    x = Tensor(np.array([3.0, 4.0]))  # a leaf that needs no gradient
+    hidden = p * 2.0
+    fired = []
+    (hidden * x).sum().backward(on_leaf_grad=fired.append)
+    assert fired == [p]
+    assert unused.grad is None
+
+
+def test_a_leaf_seed_fires_at_once():
+    p = parameter([3.0], dtype=np.float64)
+    fired = []
+    p.backward(on_leaf_grad=fired.append)
+    assert fired == [p] and np.array_equal(p.grad, [1.0])
+
+
+def test_numeric_error_from_the_callback_propagates():
+    p = parameter([1.0], dtype=np.float64)
+
+    def refuse(leaf):
+        raise NumericError("non-finite gradient for parameter 'p'")
+
+    with pytest.raises(NumericError, match="'p'"):
+        (p * 3.0).backward(on_leaf_grad=refuse)
