@@ -390,8 +390,6 @@ def cmd_train(args, sections):
 
     train_ids = manifest.ids("train")
     dev_ids = manifest.ids("dev")
-    if not train_ids or not dev_ids:
-        raise DataError("manifest needs non-empty train and dev splits")
     features = manifest.load_features(train_ids + dev_ids)
 
     config = TrainConfig(
@@ -400,10 +398,8 @@ def cmd_train(args, sections):
 
     out = Path(args.out)
     loss_log = Path(args.loss_log or str(out) + ".losses.csv")
-    epochs = []
 
     def progress(epoch, train_loss, dev_loss):
-        epochs.append((epoch, train_loss, dev_loss))
         log.info("epoch %d: train %.6f dev %.6f", epoch, train_loss, dev_loss)
 
     model, metadata = train(
@@ -413,7 +409,8 @@ def cmd_train(args, sections):
 
     with open(loss_log, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,dev_loss\n")
-        for epoch, train_loss, dev_loss in epochs:
+        losses = zip(metadata["train_loss"], metadata["dev_loss"])
+        for epoch, (train_loss, dev_loss) in enumerate(losses, 1):
             fh.write(f"{epoch},{train_loss:.6f},{dev_loss:.6f}\n")
 
     metadata = dict(metadata)
@@ -494,23 +491,13 @@ def cmd_eval(args, sections):
     }
 
     if mode == "bow":
-        alphas = args.alpha
-        for alpha in alphas:
-            if not 0.0 <= alpha <= 1.0:
-                raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-        operating = {}
-        for alpha in alphas:
-            metrics = bow_metrics(bow_predict(table, alpha), reference)
-            operating[f"{alpha:g}"] = {
-                "precision": metrics["precision"],
-                "recall": metrics["recall"],
-                "fscore": metrics["fscore"],
-                "flags": metrics["flags"],
-            }
-        report["alpha"] = operating
+        report["alpha"] = {
+            f"{alpha:g}": bow_metrics(bow_predict(table, alpha), reference)
+            for alpha in args.alpha
+        }
         report["average_precision"] = average_precision(table, reference)
         if args.confusion:
-            rows = confusion_report(table, reference, min(alphas))
+            rows = confusion_report(table, reference, min(args.alpha))
             report["confusion"] = [list(r) for r in rows[:50]]
     else:
         keywords = select_keywords(
@@ -538,15 +525,14 @@ def cmd_gradcheck(args, sections):
     from .models import CNN_POOL, PSC, gradient_check, toy_spec
 
     variants = {"cnn": (CNN_POOL,), "psc": (PSC,), "both": (CNN_POOL, PSC)}[args.arch]
+    tolerance = 1e-6
     worst = 0.0
-    failed = False
     for variant in variants:
         max_rel, name = gradient_check(toy_spec(variant), **_given(args, "seed", "step"))
-        status = "ok" if max_rel <= 1e-6 else "FAIL"
+        status = "ok" if max_rel <= tolerance else "FAIL"
         print(f"{variant}: max relative error {max_rel:.3e} ({name}) {status}")
         worst = max(worst, max_rel)
-        failed = failed or max_rel > 1e-6
-    if failed:
+    if worst > tolerance:
         raise NumericError(f"gradient check failed: max relative error {worst:.3e}")
     return 0
 

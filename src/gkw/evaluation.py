@@ -95,6 +95,14 @@ def build_reference(transcriptions):
     }
 
 
+def _reference_of(reference, utt_id):
+    """The reference word set of `utt_id`; a DataError when it has none."""
+    ref = reference.get(utt_id)
+    if ref is None:
+        raise DataError(f"utterance {utt_id!r} has no reference")
+    return ref
+
+
 # -- spoken bag-of-words -------------------------------------------------------
 
 def bow_predict(table, alpha):
@@ -113,9 +121,7 @@ def bow_metrics(predictions, reference):
         raise DataError("empty corpus: nothing to evaluate")
     hit = pred_total = ref_total = 0
     for utt_id, pred in predictions.items():
-        if utt_id not in reference:
-            raise DataError(f"utterance {utt_id!r} has no reference")
-        ref = reference[utt_id]
+        ref = _reference_of(reference, utt_id)
         hit += len(pred & ref)
         pred_total += len(pred)
         ref_total += len(ref)
@@ -141,9 +147,7 @@ def average_precision(table, reference):
     """
     pairs = []
     for row_i, utt_id in enumerate(table.utt_ids):
-        ref = reference.get(utt_id)
-        if ref is None:
-            raise DataError(f"utterance {utt_id!r} has no reference")
+        ref = _reference_of(reference, utt_id)
         row = table.scores[row_i]
         for w, word in enumerate(table.vocab.words):
             pairs.append((-float(row[w]), utt_id, w, word in ref))
@@ -231,7 +235,7 @@ def keyword_spot(table, keywords, reference, semantic_map=None):
             accepted = set(semantic_map[kw]) | {kw}
         col = table.vocab.index[kw]
         hits = np.array(
-            [bool(reference[utt_id] & accepted) for utt_id in table.utt_ids]
+            [bool(_reference_of(reference, u) & accepted) for u in table.utt_ids]
         )
         n_true = int(hits.sum())
         if n_true == 0:
@@ -300,7 +304,7 @@ def confusion_report(table, reference, alpha):
     co = {}
     fa_counts = {}
     for utt_id, pred in predictions.items():
-        ref = reference[utt_id]
+        ref = _reference_of(reference, utt_id)
         for word in pred - ref:
             fa_counts[word] = fa_counts.get(word, 0) + 1
             bucket = co.setdefault(word, {})

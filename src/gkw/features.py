@@ -143,7 +143,10 @@ def load_wav(path):
     """Read a mono 16-bit or float wav; returns (samples in [-1, 1], rate)."""
     from scipy.io import wavfile
 
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as err:  # not RIFF/RIFX/RF64, or cut short
+        raise FormatError(f"{path}: not a readable WAV file: {err}") from None
     if data.ndim != 1:
         raise InvalidInputError(f"{path}: expected mono audio, got shape {data.shape}")
     if data.dtype == np.int16:

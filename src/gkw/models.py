@@ -22,6 +22,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DataError, FormatError, InvalidInputError, NumericError
+from .features import FEATURE_DIM
 from .tensor import Tensor, no_grad
 
 _CKPT_MAGIC = b"GKWM"
@@ -168,7 +169,8 @@ class ArchitectureSpec:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def cnn_pool(vocab_size, input_dim=39, conv_filters=(64, 256, 1024), dense_units=4096):
+def cnn_pool(vocab_size, input_dim=FEATURE_DIM, conv_filters=(64, 256, 1024),
+             dense_units=4096):
     """Conv/pool stack with a global temporal max and a dense head."""
     f1, f2, f3 = conv_filters
     layers = (
@@ -184,7 +186,7 @@ def cnn_pool(vocab_size, input_dim=39, conv_filters=(64, 256, 1024), dense_units
     return ArchitectureSpec(CNN_POOL, vocab_size, input_dim, layers)
 
 
-def psc(vocab_size, input_dim=39, conv_filters=(96, 96, 96, 96, 96), r=1.0):
+def psc(vocab_size, input_dim=FEATURE_DIM, conv_filters=(96, 96, 96, 96, 96), r=1.0):
     """All-conv stack ending in one linear filter per word, pooled softly."""
     layers = tuple(
         ("conv", 9 if i == 0 else 10, f, "relu") for i, f in enumerate(conv_filters)
@@ -307,18 +309,13 @@ class SpeechModel:
 
         t = Tensor(packed)
         lens = lengths
-        conv_i = dense_i = 0
+        # two tensors per conv or dense layer, in `_parameter_layout`'s order
+        params = iter(self.params.values())
         for layer in self.spec.layers:
             if layer[0] == "conv":
                 _, width, _, activation = layer
-                conv_i += 1
-                t = ops.conv1d_valid(
-                    t,
-                    self.params[f"conv{conv_i}.filters"],
-                    self.params[f"conv{conv_i}.bias"],
-                    lengths=lens,
-                    activation=activation,
-                )
+                t = ops.conv1d_valid(t, next(params), next(params), lengths=lens,
+                                     activation=activation)
                 lens = ops.conv_out_lengths(lens, width)
             elif layer[0] == "pool":
                 t = ops.max_pool1d(t, layer[1], lengths=lens)
@@ -331,14 +328,7 @@ class SpeechModel:
                 t = ops.logsumexp_pool(t, layer[1], lengths=lens)
                 lens = None
             elif layer[0] == "dense":
-                _, _, activation = layer
-                dense_i += 1
-                t = ops.dense(
-                    t,
-                    self.params[f"dense{dense_i}.weights"],
-                    self.params[f"dense{dense_i}.bias"],
-                    activation=activation,
-                )
+                t = ops.dense(t, next(params), next(params), activation=layer[2])
             elif layer[0] == "sigmoid":
                 t = ops.sigmoid(t)
         self.last_time_extents = self.spec.time_extents(T)
@@ -461,7 +451,10 @@ def _length_ordered_batches(feature_map, ids, batch_size, dtype):
 
 
 def _check_min_frames(spec, feature_map, ids):
+    """Refuse an id with no features, or with fewer frames than `spec` needs."""
     for utt_id in ids:
+        if utt_id not in feature_map:
+            raise DataError(f"utterance {utt_id!r} has no features")
         if len(feature_map[utt_id]) < spec.min_frames:
             raise InvalidInputError(
                 f"utterance {utt_id!r} has {len(feature_map[utt_id])} frames; "
@@ -514,9 +507,8 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
         raise DataError("no training utterances")
     if not dev_ids:
         raise DataError("no dev utterances for early stopping")
+    _check_min_frames(spec, feature_map, [*train_ids, *dev_ids])
     for utt_id in list(train_ids) + list(dev_ids):
-        if utt_id not in feature_map:
-            raise DataError(f"utterance {utt_id!r} has no features")
         if utt_id not in target_map:
             raise DataError(f"utterance {utt_id!r} has no target")
         if target_map[utt_id].shape != (spec.vocab_size,):
@@ -524,7 +516,6 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
                 f"utterance {utt_id!r}: target dimension "
                 f"{target_map[utt_id].shape} != ({spec.vocab_size},)"
             )
-    _check_min_frames(spec, feature_map, [*train_ids, *dev_ids])
 
     lr = config.resolve_lr(spec.variant)
     model = SpeechModel(spec, seed=config.seed, dtype=dtype)

@@ -17,12 +17,13 @@ output rows: BLAS computes products of a few rows with other kernels (see
 this reason. A convolution with at least as many filters as input
 channels computes only the rows it keeps, one GEMM over their windows per
 block of at most `_ROWS` rows; one with fewer runs its taps over the whole
-packed matrix and then drops the straddling rows. Backward mirrors this in
-the same blocks: the filter gradient is summed block by block over the
+packed matrix and then gathers the rows it keeps. A lone utterance gathers
+its kept rows, all of them, as a batch does. Backward mirrors this in the
+same blocks: the filter gradient is summed block by block over the
 windows, and the input gradient, itself a convolution with the channels
-and filters swapped, runs over the padded output gradient's windows where
-the layer has at least as many channels as filters, and as one GEMM over
-the kept rows where it has fewer.
+and filters swapped, runs the forward's window GEMM over the padded output
+gradient where the layer has at least as many channels as filters, and as
+one GEMM over the kept rows where it has fewer.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
@@ -39,7 +40,7 @@ check runs on the pre-activation, which a ReLU could hide an -inf in.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, InvalidInputError
@@ -145,6 +146,19 @@ def _window_blocks(rows):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _window_matmul(src, rows, width, weights, out):
+    """out = windows @ weights, where row j of windows is the tap-major
+    window src[rows[j]:rows[j]+width] as width * src.shape[1] values.
+
+    Runs one GEMM per `_window_blocks` block. Each block's windows are
+    gathered by row index, which copies them contiguous: numpy runs a
+    product on the overlapping window view itself without BLAS. The copy is
+    dropped at once after its GEMM, so no two blocks are alive together."""
+    win = sliding_window_view(src, width, axis=0).transpose(0, 2, 1)
+    for s, e in _window_blocks(len(rows)):
+        np.matmul(win[rows[s:e]].reshape(e - s, -1), weights, out=out[s:e])
+
+
 def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     """Valid 1-D convolution over time, stride 1, with an optional ReLU.
 
@@ -164,15 +178,17 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     rows only. It gathers the tap-major window of each kept output row,
     x[r:r+width] as width*D values, and multiplies blocks of at most
     `_ROWS` such rows by filters.reshape(K, width*D).T straight into the
-    output: one GEMM per block with inner dimension width*D (Chellapilla et
-    al. 2006), no row whose window straddles two utterances, no per-tap sum.
-    The blocks bound the window matrix; a full-batch one would be many
-    times the input on long utterances. A layer with fewer filters (psc's
-    96 -> 20 and 96 -> 6 output layers) runs each tap i as a single GEMM
-    over the whole packed matrix, flat += x[i:i+n] @ filters[:, i].T with
-    n = N - width + 1; flat row r is the window that starts at input row r,
-    and one row gather drops the width - 1 rows before each utterance
-    boundary, whose windows straddle it. Either way the next layer gets a
+    output (`_window_matmul`): one GEMM per block with inner dimension
+    width*D (Chellapilla et al. 2006), no row whose window straddles two
+    utterances, no per-tap sum. The blocks bound the window matrix; a
+    full-batch one would be many times the input on long utterances. A
+    layer with fewer filters (psc's 96 -> 20 and 96 -> 6 output layers)
+    runs each tap i as a single GEMM over the whole packed matrix,
+    flat += x[i:i+n] @ filters[:, i].T with n = N - width + 1; flat row r
+    is the window that starts at input row r, and one row gather drops the
+    width - 1 rows before each utterance boundary, whose windows straddle
+    it. A lone utterance gathers its kept rows, all n of them, on either
+    path, as a batch does. Either way the next layer gets a
     packed matrix again, and each output row is the same inner product
     whatever rows share its GEMM, so packing only turns many small GEMMs
     into tall ones: an utterance's rows in a batch are bitwise those of a
@@ -210,19 +226,19 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     (Dumoulin & Visin, "A guide to convolution arithmetic", 2016). It
     picks its path by the forward's rule with the roles swapped, D filters
     over K channels. Where D >= K (psc's conv2-6), the output gradient is
-    scattered to rows keep + width - 1 of a zeroed (N + width - 1, K)
+    scattered to rows kept + width - 1 of a zeroed (N + width - 1, K)
     array, the straddling rows staying zero. Input row r's window is then
-    the contiguous run of width*K values from row r on, an as_strided view
-    with no gather; each block of it is copied contiguous (a GEMM on the
-    overlapping view itself was slower) and multiplied by the flipped
-    filters, (width*K, D), into gx. Where D < K (cnn-pool's conv2 and
-    conv3), one GEMM over the kept rows, g @ filters.reshape(K, width*D),
-    yields every tap's product, and its tap-i columns are added to
-    gx[keep + i] tap by tap: the per-tap products in tap order, bitwise
-    the per-tap GEMMs at those layers. That product is not blocked, since
-    blocks would add an input row's taps out of tap order. In float64 the
-    taps stay one GEMM each, for dgemm's edge columns as above (at the
-    39-channel first layer the one GEMM moved the last bit).
+    rows r to r + width - 1 of that array, and `_window_matmul`, the
+    forward's routine, multiplies the windows of all N input rows by the
+    flipped filters, (width*K, D), into gx block by block. Where D < K
+    (cnn-pool's conv2 and conv3), one GEMM over the kept rows,
+    g @ filters.reshape(K, width*D), yields every tap's product, and its
+    tap-i columns are added to gx[kept + i] tap by tap: the per-tap
+    products in tap order, bitwise the per-tap GEMMs at those layers. That
+    product is not blocked, since blocks would add an input row's taps out
+    of tap order. In float64 the taps stay one GEMM each, for dgemm's edge
+    columns as above (at the 39-channel first layer the one GEMM moved the
+    last bit).
     """
     if activation not in CONV_ACTIVATIONS:
         raise ConfigError(f"unknown convolution activation {activation!r}")
@@ -245,21 +261,16 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
         )
 
     n = N - width + 1
-    out_len = conv_out_lengths(lengths, width)
-    N_out = int(out_len.sum())
-    keep = _segment_rows(_offsets(lengths), out_len) if len(lengths) > 1 else None
-    kept = np.arange(n) if keep is None else keep
+    kept = _segment_rows(_offsets(lengths), conv_out_lengths(lengths, width))
+    N_out = len(kept)
     if _over_window(D, K):
-        win = sliding_window_view(x.data, width, axis=0).transpose(0, 2, 1)
-        weights = filters.data.reshape(K, width * D).T
         out_data = np.empty((N_out, K), dtype=np.result_type(x.data, filters.data))
-        for s, e in _window_blocks(N_out):
-            np.matmul(win[kept[s:e]].reshape(e - s, width * D), weights, out=out_data[s:e])
+        _window_matmul(x.data, kept, width, filters.data.reshape(K, width * D).T, out_data)
     else:
         flat = x.data[:n] @ filters.data[:, 0, :].T
         for i in range(1, width):
             flat += x.data[i:i + n] @ filters.data[:, i, :].T
-        out_data = flat if keep is None else flat[keep]
+        out_data = flat[kept]
         del flat
     out_data += bias.data
 
@@ -292,11 +303,9 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
                 if _over_window(K, D):
                     gp = np.zeros((N + width - 1, K), dtype=g.dtype)
                     gp[kept + width - 1] = g
-                    windows = as_strided(gp, (N, width * K), (K * gp.itemsize, gp.itemsize))
                     flipped = filters.data[:, ::-1, :].transpose(1, 0, 2).reshape(width * K, D)
                     gx = np.empty((N, D), dtype=x.data.dtype)
-                    for s, e in _window_blocks(N):
-                        np.matmul(np.ascontiguousarray(windows[s:e]), flipped, out=gx[s:e])
+                    _window_matmul(gp, np.arange(N), width, flipped, gx)
                 else:
                     gx = np.zeros((N, D), dtype=x.data.dtype)
                     if tap_major:

@@ -470,6 +470,17 @@ def test_features_subcommand(tmp_path, capsys):
     assert mat.shape == (98, 39)
 
 
+@pytest.mark.parametrize("content", [b"junk, not audio", b"RIFF\x10\x00\x00\x00WAVEfmt "],
+                         ids=["not-riff", "cut-short"])
+def test_features_malformed_wav_is_data_error(tmp_path, capsys, content):
+    wav_path = tmp_path / "bad.wav"
+    wav_path.write_bytes(content)
+    assert cli.main(["features", str(wav_path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "bad.wav" in err
+    assert not (tmp_path / "bad.gkwf").exists()
+
+
 def test_gradcheck_both_pass(capsys):
     assert cli.main(["gradcheck", "--arch", "both"]) == 0
     out = capsys.readouterr().out

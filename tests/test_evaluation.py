@@ -313,6 +313,20 @@ def test_confusion_report_pinned_example():
     assert rows == [("snow", "hill", 1), ("snow", "snowy", 1)]
 
 
+# -- references ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("evaluate", [
+    lambda table, ref: bow_metrics(bow_predict(table, 0.5), ref),
+    average_precision,
+    lambda table, ref: keyword_spot(table, ["a1"], ref),
+    lambda table, ref: confusion_report(table, ref, 0.5),
+], ids=["bow_metrics", "average_precision", "keyword_spot", "confusion_report"])
+def test_utterance_without_reference_is_data_error(evaluate):
+    table = table_of([[0.9, 0.1], [0.8, 0.2]], ["a1", "b2"])
+    with pytest.raises(DataError, match="'u1' has no reference"):
+        evaluate(table, {"u0": frozenset({"a1"})})
+
+
 # -- score table files --------------------------------------------------------------------
 
 def test_score_table_roundtrip(tmp_path):

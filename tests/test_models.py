@@ -510,6 +510,7 @@ def test_train_validates_inputs():
         train(feats, targs, [], ["u0"], spec)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN is the point
 def test_train_divergence_reports_epoch_and_batch():
     rng = np.random.default_rng(20)
     spec = toy_spec("psc", vocab_size=3)
@@ -536,6 +537,12 @@ def test_score_utterances_names_a_too_short_utterance():
     }
     with pytest.raises(InvalidInputError, match="'utt-short' has"):
         score_utterances(model, feats, ["utt-long", "utt-short"])
+
+
+def test_score_utterances_names_a_missing_utterance():
+    model = SpeechModel(toy_spec("psc"), seed=0)
+    with pytest.raises(DataError, match="'zz' has no features"):
+        score_utterances(model, {}, ["zz"])
 
 
 def test_score_utterances_matches_predict():
