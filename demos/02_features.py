@@ -22,9 +22,7 @@ signal = np.where(t < 1.0,
                   np.sin(2 * np.pi * 440 * t),
                   0.5 * np.sin(2 * np.pi * 1760 * t))
 
-win = int(round(config.frame_length * rate))
-hop = int(round(config.frame_step * rate))
-frames = frame_signal(signal, win, hop)
+frames = frame_signal(signal, config.win, config.hop)
 print(f"{len(signal)} samples -> {frames.shape[0]} frames of {frames.shape[1]}")
 
 log_mels, energy = log_mel_spectrogram(signal, config)

@@ -36,6 +36,9 @@ log = logging.getLogger("gkw")
 # what it computes: left out of the config a report records
 _UNREPORTED = {"threads", "out", "loss_log"}
 
+# --precision name -> numpy dtype name
+_DTYPES = {"f32": "float32", "f64": "float64"}
+
 
 def _positive_int(text):
     value = int(text)
@@ -66,7 +69,7 @@ def build_parser():
                         help="BLAS/OpenMP thread cap (set before numpy loads)")
     parser.add_argument("--strict-determinism", action="store_true",
                         help="single-threaded BLAS; byte-reproducible outputs")
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
+    parser.add_argument("--precision", choices=tuple(_DTYPES), default="f32",
                         help="model arithmetic precision (default %(default)s)")
     sub = parser.add_subparsers(dest="command")
 
@@ -382,7 +385,6 @@ def cmd_train(args, sections):
     import numpy as np
 
     from .models import TrainConfig, cnn_pool, psc, save_checkpoint, train
-    from .tensor import as_dtype
 
     manifest, vocab = _corpus(args.manifest)
     targets = _training_targets(args, manifest, vocab)
@@ -404,7 +406,7 @@ def cmd_train(args, sections):
 
     model, metadata = train(
         features, targets, train_ids, dev_ids, spec, config,
-        progress=progress, dtype=as_dtype(args.precision),
+        progress=progress, dtype=getattr(np, _DTYPES[args.precision]),
     )
 
     with open(loss_log, "w", encoding="utf-8") as fh:
@@ -424,14 +426,15 @@ def cmd_train(args, sections):
 
 
 def cmd_score(args, sections):
+    import numpy as np
+
     from .evaluation import ScoreTable
     from .features import write_features
     from .models import PSC, load_checkpoint, score_utterances
-    from .tensor import as_dtype
 
     manifest, vocab = _corpus(args.manifest)
     model, fingerprint, _ = load_checkpoint(
-        args.checkpoint, vocab=vocab, dtype=as_dtype(args.precision)
+        args.checkpoint, vocab=vocab, dtype=getattr(np, _DTYPES[args.precision])
     )
     localize = args.emit_localization
     if localize and model.spec.variant != PSC:

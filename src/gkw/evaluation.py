@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, open_text
-from .targets import Vocabulary, format_prob
+from .targets import Vocabulary, check_utt_id, format_prob
 
 
 @dataclass
@@ -67,6 +67,7 @@ class ScoreTable:
                 utt_id, tab, rest = line.partition("\t")
                 if not tab:
                     raise DataError(f"{path}:{lineno}: expected `utt_id<TAB>scores`")
+                check_utt_id(utt_id, f"{path}:{lineno}")
                 values = rest.split(",")
                 if len(values) != len(words):
                     raise DataError(
@@ -339,5 +340,8 @@ def load_semantic_map(path):
     for kw, words in doc.items():
         if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
             raise DataError(f"{path}: entry {kw!r} must map to a list of words")
-        mapping[kw] = frozenset(w.lower() for w in words) | {kw.lower()}
+        key = kw.lower()
+        if key in mapping:
+            raise DataError(f"{path}: two entries for keyword {key!r} once lowercased")
+        mapping[key] = frozenset(w.lower() for w in words) | {key}
     return mapping

@@ -37,12 +37,19 @@ class FeatureConfig:
     max_seconds: float = 8.0
 
     @property
+    def win(self):
+        """Frame length in samples."""
+        return int(round(self.frame_length * self.sample_rate))
+
+    @property
+    def hop(self):
+        """Frame step in samples."""
+        return int(round(self.frame_step * self.sample_rate))
+
+    @property
     def max_frames(self):
         # frame count of a clip exactly max_seconds long, no-padding framing
-        n = int(self.max_seconds * self.sample_rate)
-        win = int(round(self.frame_length * self.sample_rate))
-        hop = int(round(self.frame_step * self.sample_rate))
-        return 1 + (n - win) // hop
+        return 1 + (int(self.max_seconds * self.sample_rate) - self.win) // self.hop
 
 
 def hz_to_mel(hz):
@@ -59,8 +66,7 @@ def mel_filterbank(n_mels, n_fft, sample_rate):
     Returns (n_mels, n_fft // 2 + 1). Each filter rises linearly in Hz from
     its left neighbor's center to its own and falls to the right neighbor's.
     """
-    low, high = 0.0, sample_rate / 2.0
-    centers = mel_to_hz(np.linspace(hz_to_mel(low), hz_to_mel(high), n_mels + 2))
+    centers = _mel_points(n_mels, sample_rate)
     bins_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     bank = np.zeros((n_mels, bins_hz.size))
     for m in range(1, n_mels + 1):
@@ -71,12 +77,15 @@ def mel_filterbank(n_mels, n_fft, sample_rate):
     return bank
 
 
+def _mel_points(n_mels, sample_rate):
+    """The n_mels + 2 mel-spaced frequencies in Hz from 0 to Nyquist: filter
+    m rises from point m - 1, peaks at point m and falls to point m + 1."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
+
+
 def mel_centers_hz(n_mels, sample_rate):
     """Center frequency in Hz of each filter in mel_filterbank's bank."""
-    centers = mel_to_hz(
-        np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    )
-    return centers[1:-1]
+    return _mel_points(n_mels, sample_rate)[1:-1]
 
 
 def frame_signal(samples, win, hop):
@@ -93,8 +102,9 @@ def log_mel_spectrogram(samples, config=FeatureConfig()):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise InvalidInputError(f"expected mono audio, got shape {samples.shape}")
-    win = int(round(config.frame_length * config.sample_rate))
-    hop = int(round(config.frame_step * config.sample_rate))
+    if not np.isfinite(samples).all():
+        raise InvalidInputError("audio holds non-finite (NaN or infinite) samples")
+    win, hop = config.win, config.hop
     if len(samples) < win:
         raise InvalidInputError(
             f"clip of {len(samples)} samples is shorter than one "

@@ -138,10 +138,10 @@ class ArchitectureSpec:
         t = frames
         for layer in self.layers:
             if layer[0] == "conv":
-                t = t - layer[1] + 1
+                t = int(ops.conv_out_lengths(t, layer[1]))
                 extents.append(t)
             elif layer[0] == "pool":
-                t = -(-t // layer[1])
+                t = int(ops.pool_out_lengths(t, layer[1]))
                 extents.append(t)
         return extents
 
@@ -262,8 +262,8 @@ class SpeechModel:
         return list(self.params.items())
 
     def forward(self, features, lengths=None, return_scores=False):
-        """Features (B, T, D) with valid `lengths`, or a single (T, D) matrix
-        without them.
+        """Features (B, T, D) with valid `lengths` (default: every row is
+        whole), or a single (T, D) matrix without them.
 
         The batch is packed on entry: utterance b's first lengths[b] frames,
         the utterances back to back, with no padding (see `ops`). Returns the
@@ -291,14 +291,10 @@ class SpeechModel:
             )
         if lengths is None:
             lengths = np.full(B, T, dtype=np.int64)
-            packed = x.reshape(B * T, D)
-        else:
-            lengths = np.asarray(lengths, dtype=np.int64)
-            if lengths.shape != (B,) or (lengths < 1).any() or (lengths > T).any():
-                raise DataError(
-                    f"lengths must be {B} values in [1, {T}], got {lengths}"
-                )
-            packed = x[np.arange(T) < lengths[:, None]]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (B,) or (lengths < 1).any() or (lengths > T).any():
+            raise DataError(f"lengths must be {B} values in [1, {T}], got {lengths}")
+        packed = x[np.arange(T) < lengths[:, None]]
         need = self.spec.min_frames
         if (lengths < need).any():
             short = int(np.argmin(lengths))
@@ -341,19 +337,6 @@ class SpeechModel:
 
     def state(self):
         return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_state(self, state):
-        """Set every parameter from `state` (name -> array). An array
-        already in the model's dtype is adopted, not copied: the caller
-        hands it over."""
-        for name, p in self.params.items():
-            arr = state[name]
-            if arr.shape != p.data.shape:
-                raise FormatError(
-                    f"parameter {name}: stored shape {arr.shape} != "
-                    f"expected {p.data.shape}"
-                )
-            p.data = arr.astype(self.dtype, copy=False)
 
 
 def forward_cnn(model, features):
@@ -496,8 +479,8 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
     The best parameters are copied only when the next epoch is about to
     overwrite them: the first copy allocates, later ones are written into
     it. A run whose last epoch is its best copies nothing and returns the
-    model as it is; otherwise the model adopts the copy without copying it
-    again.
+    model as it is; otherwise the best copy becomes the returned model's
+    parameters, without being copied again.
     """
     from .optim import Adam
 
@@ -571,7 +554,7 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
                 break
 
     if best_epoch < epochs_run:  # epoch 1's finite dev loss always beats np.inf
-        model.load_state(best_state)
+        model = SpeechModel(spec, dtype=dtype, arrays=best_state)
     metadata = {
         "variant": spec.variant,
         "seed": config.seed,
@@ -739,10 +722,9 @@ def gradient_check(spec, seed=0, step=1e-5, frames=None):
         raise ConfigError(f"finite-difference step must be > 0, got {step}")
     rng = np.random.default_rng(seed)
     model = SpeechModel(spec, seed=seed + 1, dtype=np.float64)
-    lengths = np.atleast_1d(spec.min_frames + 6 if frames is None else frames).astype(np.int64)
-    x = np.zeros((len(lengths), int(lengths.max()), spec.input_dim))
-    for row, n in enumerate(lengths):
-        x[row, :n] = rng.normal(size=(n, spec.input_dim)) * 0.5
+    frames = np.atleast_1d(spec.min_frames + 6 if frames is None else frames)
+    draws = {row: rng.normal(size=(n, spec.input_dim)) * 0.5 for row, n in enumerate(frames)}
+    x, lengths = _pad_batch(draws, list(draws), np.float64)
     y = (rng.uniform(size=(len(lengths), spec.vocab_size)) < 0.5).astype(np.float64)
 
     def loss_value():

@@ -27,6 +27,7 @@ from .features import FEATURE_DIM, read_features, write_features
 from .targets import (
     VisionChannelConfig,
     build_vocabulary,
+    check_utt_id,
     oracle_bow,
     simulate_vision_channel,
     write_vision_targets,
@@ -211,8 +212,9 @@ class CorpusManifest:
                     if key not in obj:
                         raise DataError(f"{path}:{lineno}: missing field {key!r}")
                 utt_id = obj["id"]
-                if not isinstance(utt_id, str) or not utt_id:
-                    raise DataError(f"{path}:{lineno}: 'id' must be a non-empty string")
+                if not isinstance(utt_id, str):
+                    raise DataError(f"{path}:{lineno}: 'id' must be a string")
+                check_utt_id(utt_id, f"{path}:{lineno}")
                 if utt_id in seen:
                     raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
                 seen.add(utt_id)

@@ -98,6 +98,16 @@ def oracle_bow(tokens, vocab):
 
 # -- vision-target files ----------------------------------------------------
 
+def check_utt_id(utt_id, where):
+    """Refuse an utterance id that is empty or holds `/`, `\\`, a tab, CR,
+    LF or NUL: ids name files (`<id>.gkwf`) and lead tab-separated rows."""
+    if not utt_id or any(c in utt_id for c in "/\\\t\r\n\0"):
+        raise DataError(
+            f"{where}: utterance id {utt_id!r} is empty or holds '/', '\\', "
+            f"a tab, CR, LF or NUL"
+        )
+
+
 def format_prob(p):
     """Shortest decimal text that reads back as the same float32."""
     return np.format_float_positional(np.float32(p), unique=True)
@@ -130,8 +140,9 @@ def load_vision_targets(path, vocab):
             if not line:
                 continue
             utt_id, tab, rest = line.partition("\t")
-            if not tab or not utt_id:
+            if not tab:
                 raise DataError(f"{path}:{lineno}: expected `utt_id<TAB>...`")
+            check_utt_id(utt_id, f"{path}:{lineno}")
             if utt_id in out:
                 raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
             vec = np.zeros(len(vocab), dtype=np.float32)
@@ -179,6 +190,8 @@ class VisionChannelConfig:
         if not self.concentration > 0:
             raise ConfigError(f"concentration must be > 0, got {self.concentration}")
         for word, edges in self.confusion_map.items():
+            if vocab is not None and word not in vocab:
+                raise ConfigError(f"confusion key {word!r} is not in the vocabulary")
             for neighbor, leak in edges:
                 if not 0.0 <= leak <= 1.0:
                     raise ConfigError(

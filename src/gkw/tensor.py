@@ -35,15 +35,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def as_dtype(precision):
-    """Map a precision name ('f32'/'f64') or dtype to a numpy dtype."""
-    if precision in ("f32", "float32", np.float32):
-        return np.float32
-    if precision in ("f64", "float64", np.float64):
-        return np.float64
-    raise ValueError(f"unknown precision {precision!r}")
-
-
 def _check_finite(arr, op):
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")

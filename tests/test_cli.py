@@ -3,6 +3,7 @@
 import argparse
 import json
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,16 @@ def test_generate_default_confusion_follows_vocab_size(tmp_path, capsys):
     tail = content_forms(10)[-6:]
     for a, b in zip(tail[0::2], tail[1::2]):
         assert semantic_map[a] == semantic_map[b] == sorted([a, b])
+
+
+@pytest.mark.parametrize("confusion_map", [
+    {"notaword": [[content_forms(6)[0], 0.5]]},
+    {content_forms(6)[0]: [["notaword", 0.5]]},
+], ids=["key", "neighbor"])
+def test_generate_confusion_word_outside_the_vocabulary(tmp_path, capsys, confusion_map):
+    config = write_config(tmp_path, generate={"confusion_map": confusion_map})
+    assert cli.main(["--config", str(config), "generate"]) == 1
+    assert "'notaword' is not in the vocabulary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, values", [
@@ -320,6 +331,26 @@ def test_emit_localization_needs_psc_and_writes_nothing(pipeline, tmp_path, caps
     assert list(tmp_path.iterdir()) == [checkpoint]
 
 
+def test_score_refuses_an_id_that_leaves_the_localization_directory(pipeline, tmp_path,
+                                                                    capsys):
+    src_path, config, manifest = pipeline
+    corpus = tmp_path / "corpus"
+    (corpus / "features").mkdir(parents=True)
+    shutil.copy(src_path / "corpus" / "vocabulary.txt", corpus)
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    records = [r for r in records if r["split"] == "test"]
+    for record in records:
+        shutil.copy(src_path / "corpus" / record["features"], corpus / "features")
+    records[0]["id"] = "../../escaped-" + records[0]["id"]
+    (corpus / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out" / "scores.tsv"
+    assert cli.main(["score", str(src_path / "model.gkwm"), str(corpus / "manifest.jsonl"),
+                     "--out", str(out), "--emit-localization"]) == 2
+    assert "utterance id" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [corpus]
+    assert not list(tmp_path.rglob("escaped-*"))
+
+
 @pytest.mark.parametrize("features", [5, "../elsewhere/x.gkwf"])
 def test_score_bad_manifest_entry_is_data_error(pipeline, tmp_path, capsys, features):
     src_path, config, manifest = pipeline
@@ -479,6 +510,19 @@ def test_features_malformed_wav_is_data_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert "data error" in err and "bad.wav" in err
     assert not (tmp_path / "bad.gkwf").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_features_non_finite_wav_is_data_error(tmp_path, capsys, bad):
+    from scipy.io import wavfile
+
+    samples = np.zeros(16000, dtype=np.float32)
+    samples[100] = bad
+    wav_path = tmp_path / "bad.wav"
+    wavfile.write(wav_path, 16000, samples)
+    assert cli.main(["features", str(wav_path), "--out", str(tmp_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.gkwf"))
 
 
 def test_gradcheck_both_pass(capsys):

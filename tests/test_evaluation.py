@@ -361,6 +361,10 @@ def test_score_table_bad_files(tmp_path):
     path.write_text("utt_id\ta1\nu0\t1.5\n")
     with pytest.raises(DataError):
         ScoreTable.load(path)
+    for bad_id in ("", "../u0"):
+        path.write_text(f"utt_id\ta1\n{bad_id}\t0.5\n")
+        with pytest.raises(DataError, match=":2: utterance id"):
+            ScoreTable.load(path)
 
 
 def test_score_table_validation():
@@ -410,6 +414,15 @@ def test_semantic_map_always_accepts_keyword(tmp_path):
     path = tmp_path / "map.json"
     path.write_text('{"girl": ["young"]}\n')
     assert "girl" in load_semantic_map(path)["girl"]
+
+
+def test_semantic_map_lowercases_keys(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text('{"BADA": ["Bago"]}\n')
+    assert load_semantic_map(path) == {"bada": frozenset({"bada", "bago"})}
+    path.write_text('{"bada": ["bago"], "Bada": ["dog"]}\n')
+    with pytest.raises(DataError, match="'bada'"):
+        load_semantic_map(path)
 
 
 def test_semantic_map_bad_files(tmp_path):

@@ -124,6 +124,9 @@ def test_masking_invariance():
         batch = np.stack([padded, padded])
         masked = model.forward(batch, lengths=np.array([T, T + 25])).data[0]
         assert np.abs(masked - plain).max() <= 1e-6
+        # no lengths means every row is whole
+        assert np.array_equal(model.forward(batch).data,
+                              model.forward(batch, np.full(2, T + 25)).data)
 
 
 @pytest.mark.parametrize("make", [cnn_pool, psc])
@@ -429,14 +432,19 @@ def test_train_determinism(tmp_path):
     assert run(tmp_path / "a.ckpt") == run(tmp_path / "b.ckpt")
 
 
-def test_train_early_stopping_restores_best():
+def test_train_early_stopping_restores_best(monkeypatch):
     rng = np.random.default_rng(19)
     spec = toy_spec("psc", vocab_size=5)
     feats, targs, ids = toy_corpus(rng, spec, n=16)
+    calls = []
+    monkeypatch.setattr(SpeechModel, "__init__",
+                        _recording(SpeechModel.__init__, "SpeechModel", calls))
     model, meta = train(
         feats, targs, ids[:12], ids[12:], spec,
         TrainConfig(epochs=40, batch_size=4, seed=2, patience=3),
     )
+    # the trained model, then the one built on the best parameters
+    assert calls == ["SpeechModel"] * 2
     dev = meta["dev_loss"]
     assert meta["best_epoch"] == int(np.argmin(dev)) + 1
     # stopped early: the tail after the best epoch is all non-improving
@@ -466,13 +474,13 @@ def test_train_whose_last_epoch_is_best_returns_the_live_model(monkeypatch, epoc
     spec = toy_spec("psc", vocab_size=5)
     feats, targs, ids = toy_corpus(rng, spec, n=16)
     calls = []
+    monkeypatch.setattr(SpeechModel, "__init__",
+                        _recording(SpeechModel.__init__, "SpeechModel", calls))
     monkeypatch.setattr(SpeechModel, "state", _recording(SpeechModel.state, "state", calls))
-    monkeypatch.setattr(SpeechModel, "load_state",
-                        _recording(SpeechModel.load_state, "load_state", calls))
     model, meta = train(feats, targs, ids[:12], ids[12:], spec,
                         TrainConfig(epochs=epochs, batch_size=4, seed=2, patience=3))
     assert meta["best_epoch"] == meta["epochs_run"] == epochs
-    assert calls == ["state"] * copies
+    assert calls == ["SpeechModel"] + ["state"] * copies
     assert models._epoch_loss(model, feats, targs, ids[12:], 4) == meta["dev_loss"][-1]
 
 

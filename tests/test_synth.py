@@ -193,6 +193,8 @@ def test_manifest_load_errors(tmp_path):
     ("features", "features/../../x.gkwf"),
     ("features", "/tmp/x.gkwf"),
     ("vision_targets", "../t.tsv"),
+    ("id", "../u0"),
+    ("id", "u\t0"),
 ])
 def test_manifest_rejects_bad_ids_and_paths(tmp_path, key, value):
     obj = {"id": "u0", "split": "train", "features": "f.gkwf", "transcription": ["a"]}

@@ -302,6 +302,8 @@ def test_channel_config_validation():
         VisionChannelConfig(confusion_map={"dog": [("cat", 2.0)]}).validate()
     with pytest.raises(ConfigError):
         VisionChannelConfig(confusion_map={"dog": [("zebra", 0.5)]}).validate(vocab)
+    with pytest.raises(ConfigError, match="zebra"):
+        VisionChannelConfig(confusion_map={"zebra": [("dog", 0.5)]}).validate(vocab)
 
 
 def test_channel_shape_mismatch():
