@@ -28,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataError, GkwError, NumericError
+from .errors import ConfigError, DataError, GkwError, InvalidInputError, NumericError
 
 log = logging.getLogger("gkw")
 
@@ -342,17 +342,21 @@ def cmd_features(args, sections):
     from .features import FeatureConfig, extract_mfcc, load_wav, write_features
 
     config = FeatureConfig()
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for wav in args.wavs:
-        wav = Path(wav)
+    extracted = []  # every WAV before any write: a bad one leaves no output
+    for wav in map(Path, args.wavs):
         signal, rate = load_wav(wav)
         if rate != config.sample_rate:
             raise DataError(
                 f"{wav}: sample rate {rate} != expected {config.sample_rate}"
             )
-        feats = extract_mfcc(signal, config)
+        try:
+            extracted.append((wav, extract_mfcc(signal, config)))
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{wav}: {err}") from None
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for wav, feats in extracted:
         target = (out_dir or wav.parent) / (wav.stem + ".gkwf")
         write_features(target, feats)
         print(f"{target} {feats.shape[0]}x{feats.shape[1]}")

@@ -248,11 +248,12 @@ def generate_corpus(config, out_dir):
     Layout: manifest.jsonl, features/<id>.gkwf, vision_targets.tsv,
     vocabulary.txt, stop_words.txt, semantic_map.json. Every draw comes
     from a stream derived from config.seed (one child stream per
-    utterance), so regeneration is byte-identical.
+    utterance), so regeneration is byte-identical. Every utterance's words
+    are drawn and the corpus is checked before anything is written, so a
+    corpus that fails its checks leaves `out_dir` as it was.
     """
     config.validate()
     out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
 
     content = content_forms(config.vocab_size)
     stops = list(_STOP_FORMS[: config.stop_word_count])
@@ -278,20 +279,17 @@ def generate_corpus(config, out_dir):
         prototypes[word] = (base + ripple).astype(np.float32)
 
     w_lo, w_hi = config.utterance_words
-    children = utt_seq.spawn(config.total_size)
+    children = iter(utt_seq.spawn(config.total_size))
     records = []
     transcriptions = {}
-    child = iter(children)
+    streams = {}  # each utterance's stream, left at its frame noise
     for split, size in zip(SPLITS, (config.train_size, config.dev_size, config.test_size)):
         for i in range(size):
-            rng = np.random.default_rng(next(child))
+            rng = np.random.default_rng(next(children))
             utt_id = f"{split}-{i:04d}"
             n_words = int(rng.integers(w_lo, w_hi + 1))
             tokens = [lexicon[j] for j in rng.choice(len(lexicon), size=n_words, p=probs)]
-            mat = np.concatenate([prototypes[w] for w in tokens], axis=0)
-            if config.frame_noise_sigma > 0:
-                mat = mat + rng.normal(0.0, config.frame_noise_sigma, size=mat.shape)
-            write_features(out / "features" / f"{utt_id}.gkwf", mat.astype(np.float32))
+            streams[utt_id] = rng
             transcriptions[utt_id] = tokens
             records.append(
                 UtteranceRecord(
@@ -312,6 +310,13 @@ def generate_corpus(config, out_dir):
             f"content words were realized"
         )
     config.channel.validate(vocab)
+
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    for utt_id, rng in streams.items():
+        mat = np.concatenate([prototypes[w] for w in transcriptions[utt_id]], axis=0)
+        if config.frame_noise_sigma > 0:
+            mat = mat + rng.normal(0.0, config.frame_noise_sigma, size=mat.shape)
+        write_features(out / "features" / f"{utt_id}.gkwf", mat.astype(np.float32))
 
     channel_rng = np.random.default_rng(channel_seq)
     targets = {}

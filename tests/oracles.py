@@ -154,19 +154,20 @@ def pad(rows, fill=0.0):
 
 
 def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
-    """The conv1d_valid backward built from d-major windows, one path per
+    """The conv1d_valid backward built from tap-major windows, one path per
     gradient, in the fast path's summation order.
 
     x: packed (N, D) with `lengths`; grad_out: packed (N_out, K). The
-    filter gradient is `np.tensordot` over the d-major windows of the kept
-    rows of a sliding-window view, summed block by block over
-    `ops._window_blocks(N_out)` and transposed to (K, width, D). The input
-    gradient, with at least as many input channels as filters, is one GEMM
-    over every row's window of the output gradient, zero-padded in front
-    by width - 1 rows, with the flipped filters; with fewer channels, one
-    GEMM per tap over the kept rows, added tap by tap. The fast path must
-    match it bitwise (up to the sign of zeros). Returns (d_bias,
-    d_filters, d_x) in `dtype`.
+    filter gradient is `np.tensordot` over the tap-major windows of the
+    kept rows of a sliding-window view, summed block by block over
+    `ops._window_blocks(N_out)` into (K, width, D). The input gradient,
+    with at least as many input channels as filters, is one GEMM over every
+    row's window of the output gradient, zero-padded in front by width - 1
+    rows, with the flipped filters; with fewer channels, one GEMM over the
+    kept rows with all the taps' filters side by side, whose tap-i columns
+    are added to the rows kept + i in tap order. The fast path must match
+    it bitwise (up to the sign of zeros). Returns (d_bias, d_filters, d_x)
+    in `dtype`.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
@@ -180,11 +181,10 @@ def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
     starts = np.cumsum(lengths) - lengths
     keep = np.concatenate([s + np.arange(l - width + 1) for s, l in zip(starts, lengths)])
     d_bias = g.sum(axis=0)
-    win = sliding_window_view(x, width, axis=0)[keep]          # (N_out, D, width)
-    gf = np.zeros((K, D, width), dtype=dtype)
+    win = sliding_window_view(x, width, axis=0).transpose(0, 2, 1)[keep]  # (N_out, width, D)
+    d_filters = np.zeros((K, width, D), dtype=dtype)
     for s, e in ops._window_blocks(len(keep)):
-        gf += np.tensordot(g[s:e], win[s:e], axes=([0], [0]))
-    d_filters = np.ascontiguousarray(gf.transpose(0, 2, 1))
+        d_filters += np.tensordot(g[s:e], win[s:e], axes=([0], [0]))
     if D >= K:
         padded = np.zeros((N + width - 1, K), dtype=dtype)
         padded[keep + width - 1] = g
@@ -193,8 +193,9 @@ def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
         d_x = windows.reshape(N, width * K) @ flipped.reshape(width * K, D)
     else:
         d_x = np.zeros((N, D), dtype=dtype)
+        taps = g @ filters.reshape(K, width * D)
         for i in range(width):
-            d_x[keep + i] += g @ filters[:, i, :]
+            d_x[keep + i] += taps[:, i * D:(i + 1) * D]
     return d_bias, d_filters, d_x
 
 

@@ -122,14 +122,22 @@ def test_generate_default_confusion_follows_vocab_size(tmp_path, capsys):
         assert semantic_map[a] == semantic_map[b] == sorted([a, b])
 
 
-@pytest.mark.parametrize("confusion_map", [
-    {"notaword": [[content_forms(6)[0], 0.5]]},
-    {content_forms(6)[0]: [["notaword", 0.5]]},
-], ids=["key", "neighbor"])
-def test_generate_confusion_word_outside_the_vocabulary(tmp_path, capsys, confusion_map):
-    config = write_config(tmp_path, generate={"confusion_map": confusion_map})
-    assert cli.main(["--config", str(config), "generate"]) == 1
-    assert "'notaword' is not in the vocabulary" in capsys.readouterr().err
+@pytest.mark.parametrize("generate, code, message", [
+    ({"confusion_map": {"notaword": [[content_forms(6)[0], 0.5]]}},
+     1, "'notaword' is not in the vocabulary"),
+    ({"confusion_map": {content_forms(6)[0]: [["notaword", 0.5]]}},
+     1, "'notaword' is not in the vocabulary"),
+    # four one-word utterances cannot realize six content words
+    ({"utterance_words": [1, 1], "train_size": 2, "dev_size": 1, "test_size": 1},
+     2, "corpus too small"),
+], ids=["key", "neighbor", "small-corpus"])
+def test_generate_confusion_word_outside_the_vocabulary(tmp_path, capsys, generate, code,
+                                                        message):
+    # the corpus is checked before any file is written
+    config = write_config(tmp_path, generate=generate)
+    assert cli.main(["--config", str(config), "generate"]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
 
 
 @pytest.mark.parametrize("section, values", [
@@ -486,6 +494,8 @@ def test_eval_id_not_in_split(pipeline, tmp_path, capsys):
 def test_features_subcommand(tmp_path, capsys):
     import wave
 
+    from scipy.io import wavfile
+
     rng = np.random.default_rng(0)
     wav_path = tmp_path / "tone.wav"
     rate = 16000
@@ -499,6 +509,14 @@ def test_features_subcommand(tmp_path, capsys):
     capsys.readouterr()
     mat = read_features(tmp_path / "feats" / "tone.gkwf")
     assert mat.shape == (98, 39)
+    # a WAV that fails extraction is named, and no WAV's features are written
+    nan_path = tmp_path / "nan.wav"
+    wavfile.write(nan_path, rate, np.full(rate, np.nan, dtype=np.float32))
+    assert cli.main(["features", str(wav_path), str(nan_path),
+                     "--out", str(tmp_path / "both")]) == 2
+    err = capsys.readouterr().err
+    assert "nan.wav" in err and "non-finite" in err
+    assert not (tmp_path / "both").exists()
 
 
 @pytest.mark.parametrize("content", [b"junk, not audio", b"RIFF\x10\x00\x00\x00WAVEfmt "],

@@ -491,17 +491,35 @@ def test_max_over_time_gradient_goes_to_earliest_tie_of_each_utterance():
     assert np.array_equal(x.grad.ravel(), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def test_max_over_time_gradient_goes_to_earliest_tie_in_many_columns():
+def _few_values(rng):
     # few distinct values, so most columns of every ragged utterance tie
-    rng = np.random.default_rng(46)
     lengths = np.array([5, 1, 9, 3, 7, 2])
-    data = rng.integers(0, 3, size=(int(lengths.sum()), 40)).astype(np.float64)
-    x = parameter(data, dtype=np.float64)
-    probe = rng.normal(size=(len(lengths), 40))
-    (ops.max_over_time(x, lengths=lengths) * Tensor(probe)).sum().backward()
+    return rng.integers(0, 3, size=(int(lengths.sum()), 40)).astype(np.float64), lengths
+
+
+def _cnn_pool_conv3_scoring_output(rng):
+    # cnn-pool's conv3 ReLU output on 32 scoring utterances: a dead unit's
+    # column is 0 in every frame, so it ties in every frame of the utterance
+    frames = rng.integers(SCORING_FRAMES[0], SCORING_FRAMES[1] + 1, size=32)
+    lengths, _, K, width = _default_conv_layers(cnn_pool(20), frames)[2]
+    lengths = ops.conv_out_lengths(lengths, width)
+    data = np.maximum(rng.normal(size=(int(lengths.sum()), K)), 0.0).astype(np.float32)
+    data[:, rng.choice(K, size=K // 8, replace=False)] = 0.0
+    return data, lengths
+
+
+@pytest.mark.parametrize("make", [_few_values, _cnn_pool_conv3_scoring_output])
+def test_max_over_time_gradient_goes_to_earliest_tie_in_many_columns(make):
+    rng = np.random.default_rng(46)
+    data, lengths = make(rng)
+    x = parameter(data, dtype=data.dtype)
+    probe = rng.normal(size=(len(lengths), data.shape[1])).astype(data.dtype)
+    out = ops.max_over_time(x, lengths=lengths)
+    (out * Tensor(probe)).sum().backward()
     expected = np.zeros_like(data)
     for b, (s, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
-        for k in range(40):
+        assert np.array_equal(out.data[b], data[s:s + n].max(axis=0))
+        for k in range(data.shape[1]):
             col = data[s:s + n, k]
             expected[s + next(t for t in range(n) if col[t] == col.max()), k] = probe[b, k]
     assert np.array_equal(x.grad, expected)
