@@ -14,16 +14,19 @@ does not depend on what else shares its batch. Run alone, an utterance
 can differ in the last bit where that leaves a convolution only a few
 output rows: BLAS computes products of a few rows with other kernels (see
 `conv1d_valid`). `dense` runs a one-row input as a two-row product for
-this reason. A convolution with at least as many filters as input
-channels computes only the rows it keeps, one GEMM over their windows per
-block of at most `_ROWS` rows; one with fewer runs its taps over the whole
-packed matrix and then gathers the rows it keeps. A lone utterance gathers
-its kept rows, all of them, as a batch does. Backward mirrors this in the
-same blocks: the filter gradient is summed block by block over the
-windows, and the input gradient, itself a convolution with the channels
-and filters swapped, runs the forward's window GEMM over the padded output
-gradient where the layer has at least as many channels as filters, and as
-one GEMM over the kept rows where it has fewer.
+this reason. A convolution multiplies the windows of its input by its
+filters in GEMMs. Where the input is long enough, every `width`-th window
+tiles the input without overlap, so each such phase of the windows is a
+reshape of a slice of the input, and one GEMM per phase runs on it with no
+copy; the rows the layer keeps are then gathered from the result. On a
+shorter input the layer gathers the windows of the rows it keeps, in
+blocks of at most `_ROWS` rows, one GEMM per block. A lone utterance takes
+the same rule as a batch. Backward runs the same window products: the
+filter gradient is summed phase by phase or block by block, and the input
+gradient, itself a convolution with the channels and filters swapped, runs
+the window product over the padded output gradient where the layer has at
+least as many channels as filters, and as one GEMM over the kept rows
+where it has fewer.
 
 Time lengths flow through the network with `conv_out_lengths` and
 `pool_out_lengths`; callers thread them between ops.
@@ -109,11 +112,13 @@ def _segment_rows(starts, counts, step=1):
     return np.repeat(starts, counts) + step * within
 
 
-# rows per GEMM of a convolution's window paths, forward and backward; a
-# block's window matrix holds at most _ROWS * width * D values (16 MB at
-# psc's 96-channel layers in float32), whatever the input's length. The
-# forward passes of the eight window-path layers of both default models on
-# a length-ordered batch of 32 scoring utterances (about 9.6k conv1 rows),
+# rows per GEMM of a convolution's gathered window path (`_window_matmul`
+# and the blocked filter gradient); a block's window matrix holds at most
+# _ROWS * width * D values (16 MB at psc's 96-channel layers in float32),
+# whatever the input's length. The phase path copies no window and needs no
+# bound. Measured when every layer gathered its windows: the forward passes
+# of the eight layers that did, in both default models, on a
+# length-ordered batch of 32 scoring utterances (about 9.6k conv1 rows),
 # 2-core Xeon, summed: 1024 to 4096 rows 95-106 ms, 512 110 ms, 8192
 # 106-112 ms and one block for the whole batch 115-119 ms, where psc's
 # 96 -> 96 layers slowed from about 14 to 21 ms each; the flat optimum makes
@@ -123,17 +128,39 @@ _ROWS = 4096
 
 def _over_window(channels, filters):
     """Whether a convolution with `channels` input channels and `filters`
-    filters multiplies the windows of its kept rows by all its filters in
-    one GEMM (inner dimension width * channels): when it has at least as
-    many filters as channels. Per output row the window copies width *
-    channels values, where per-tap products add width fresh products of
-    `filters` values each, so the window moves less memory only with at
-    least as many filters as channels. With fewer it was slower: psc's
-    96 -> 20 output layer at the scoring shape took 5.1 ms on the flat taps
-    and 6.8 ms on the window. The input gradient is itself a convolution,
-    of the output gradient (K channels) with the flipped filters (D
-    filters), so the same rule picks its path with the roles swapped."""
+    filters runs as a window product, whose windows hold width * channels
+    values per row, rather than as one GEMM of its kept rows by all its
+    taps' filters, which makes width * filters values per row to be added
+    tap by tap: when it has at least as many filters as channels, so that
+    the window is the smaller. `conv1d_valid` asks only for the input
+    gradient, a convolution of the output gradient (K channels) with the
+    flipped filters (D filters), so the window product takes D >= K there.
+    The forward is always a window product."""
     return filters >= channels
+
+
+def _by_phase(rows, width, cols):
+    """Whether a window product with `rows` output rows and `cols` output
+    columns runs one GEMM per phase (`_phases`) rather than per gathered
+    block (`_window_matmul`): when each of its `width` phases has at least
+    as many rows as the product has columns. Every phase packs the weights
+    again, which a short phase does not pay for: on a B=32 training batch,
+    where neither passes this rule, cnn-pool's 256 -> 1024 conv3 forward
+    took 27-30 ms by phase against 6-8 ms gathered, and its 64 -> 256
+    conv2 4.7-6.5 ms against 3.2-4.8 ms (two runs, 2-core Xeon)."""
+    return rows >= width * cols
+
+
+def _phases(src, rows, width):
+    """(j, windows) for each phase j < width of the first `rows` windows of
+    `src`: windows is the (q, width * src.shape[1]) matrix whose row p is
+    the tap-major window src[j + p*width : j + (p+1)*width], with
+    q = (rows - 1 - j) // width + 1. The windows of one phase tile src
+    without overlap, so windows is a reshape of the slice
+    src[j : j + width*q], a view that BLAS takes as it is."""
+    for j in range(width):
+        q = (rows - 1 - j) // width + 1
+        yield j, src[j:j + width * q].reshape(q, -1)
 
 
 def _window_blocks(rows):
@@ -173,63 +200,75 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     docstring), so the layer holds one array and the gradients keep the
     bits of a separate ReLU's.
 
-    Layout: a layer with at least as many filters as input channels
-    (`_over_window`: cnn-pool's conv1-3, psc's conv1-5) computes its kept
-    rows only. It gathers the tap-major window of each kept output row,
-    x[r:r+width] as width*D values, and multiplies blocks of at most
-    `_ROWS` such rows by filters.reshape(K, width*D).T straight into the
-    output (`_window_matmul`): one GEMM per block with inner dimension
-    width*D (Chellapilla et al. 2006), no row whose window straddles two
-    utterances, no per-tap sum. The blocks bound the window matrix; a
-    full-batch one would be many times the input on long utterances. A
-    layer with fewer filters (psc's 96 -> 20 and 96 -> 6 output layers)
-    runs each tap i as a single GEMM over the whole packed matrix,
-    flat += x[i:i+n] @ filters[:, i].T with n = N - width + 1; flat row r
-    is the window that starts at input row r, and one row gather drops the
-    width - 1 rows before each utterance boundary, whose windows straddle
-    it. A lone utterance gathers its kept rows, all n of them, on either
-    path, as a batch does. Either way the next layer gets a
-    packed matrix again, and each output row is the same inner product
-    whatever rows share its GEMM, so packing only turns many small GEMMs
-    into tall ones: an utterance's rows in a batch are bitwise those of a
-    call on it alone once it has enough rows to fill a tall GEMM's kernel.
-    BLAS runs products of a few rows with other kernels that can round the
-    last bit differently. At the default models' float32 shapes, probing
-    1-128 output rows against a 2000-row batch mate on three seeds, a lone
-    utterance differed with up to 10 rows at 96 -> 96, 60 at 96 -> 20
-    (flat taps), 12 at 39 -> 96, 18 at 39 -> 64, 4 at 64 -> 256 and 1 at
-    256 -> 1024 (2-core Xeon, OpenBLAS 0.3.31). OpenBLAS also switches
-    kernels for other small products (below roughly 1e5 multiply-adds per
-    row, e.g. a 6-word psc output layer on short utterances; its float32
-    kernels for a filter count that is not a multiple of 4 also round by
-    row count).
+    Layout: the layer is a window matrix times its filters. Row r of the
+    window matrix is x[r:r+width], the tap-major window that starts at
+    input row r, as width*D values, and filters.reshape(K, width*D).T
+    multiplies it: GEMMs with inner dimension width*D (Chellapilla et al.
+    2006) and no per-tap sum. The packed input has n = N - width + 1
+    windows; those that straddle two utterances are not output. Where each phase of the windows has at
+    least as many rows as the layer has filters (`_by_phase`:
+    n >= width*K), the layer runs one GEMM per phase j < width over windows
+    j, j + width, j + 2*width, ... These tile x[j:] without overlap, so
+    their matrix is x[j : j + width*q].reshape(q, width*D), a view that
+    BLAS takes with no copy, and the GEMM writes straight into rows
+    j::width of an (n, K) array; one row gather then takes the kept rows
+    (`_phases`). This is a 1-D, copy-free form of MEC (Cho & Brand,
+    "MEC: Memory-efficient Convolution for Deep Neural Network", ICML
+    2017); it computes the width - 1 straddling rows at each utterance
+    boundary and drops them. Otherwise the layer gathers the window of
+    each kept row only, by row index, which copies it, and multiplies
+    blocks of at most `_ROWS` such rows straight into the output
+    (`_window_matmul`); the blocks bound the copy, which a full-batch one
+    would make many times the input on long utterances. At the default
+    models' float32 shapes, on B=32 batches of training or scoring
+    utterances, psc's conv1-6 and cnn-pool's conv1 run by phase, cnn-pool's
+    conv2 by phase on scoring batches only, and its conv3 never. A lone
+    utterance takes the same rule as a batch. Either way the next layer
+    gets a packed matrix again, and each output row is the same inner
+    product, in the same order, on either path and whatever rows share its
+    GEMM, so packing only turns many small GEMMs into tall ones: an
+    utterance's rows in a batch are bitwise those of a call on it alone
+    once it has enough rows to fill a tall GEMM's kernel. BLAS runs
+    products of a few rows with other kernels that can round the last bit
+    differently. At the default models' float32 shapes, probing 1-128
+    output rows against a 2000-row batch mate on three seeds, a lone
+    utterance differed with up to 10 rows at 96 -> 96, 52 at 96 -> 20, 12
+    at 39 -> 96, 18 at 39 -> 64, 4 at 64 -> 256 and 1 at 256 -> 1024
+    (2-core Xeon, OpenBLAS 0.3.31). OpenBLAS also switches kernels for
+    other small products (below roughly 1e5 multiply-adds per row, e.g. a
+    6-word psc output layer on short utterances; its float32 kernels for a
+    filter count that is not a multiple of 4 also round by row count).
 
-    Backward runs over the forward's blocks of at most `_ROWS` rows, so
-    no window matrix grows with the batch. The filter gradient sums
-    g[s:e].T @ win[s:e] block by block, over the window matrix of the kept
-    rows (row j is the window of output row j). It is rebuilt here rather
-    than kept from the forward pass, which would hold about 110 MB more
-    through a psc training step. The window is gathered tap-major, (width,
-    D) per row, so the copy moves runs of D contiguous values (1.5 ms
-    against 7.3 ms for a d-major (D, width) gather on a 96->96 psc layer at
-    B=32, T=220, 2-core Xeon) and the product is already in (K, width, D)
-    order.
+    Backward runs the forward's window products again. The filter
+    gradient is their transpose, summed over the same pieces. By phase, it
+    sums g_flat[j::width].T @ (phase j's windows) in phase order, where
+    g_flat (n, K) holds the output gradient at its windows' flat rows and
+    zeros at the straddling ones. g_flat is a view of the zero-padded
+    output gradient that the input gradient reads (below), so the gradient
+    is scattered once. Otherwise it sums g[s:e].T @ win[s:e] block by
+    block, win being the gathered windows of the kept rows. The windows
+    are read again rather than kept from the forward pass, which on the
+    gathered path would hold about 110 MB more through a psc training step.
+    They are tap-major, (width, D) per row, so the product is already in
+    (K, width, D) order, and a gather copies runs of D contiguous values
+    (1.5 ms against 7.3 ms for a d-major (D, width) gather on a 96->96 psc
+    layer at B=32, T=220, 2-core Xeon).
 
     The input gradient is itself a valid convolution: of the output
     gradient, zero-padded by width - 1 rows, with the flipped filters
-    (Dumoulin & Visin, "A guide to convolution arithmetic", 2016). It
-    picks its path by the forward's rule with the roles swapped, D filters
-    over K channels. Where D >= K (psc's conv2-6), the output gradient is
+    (Dumoulin & Visin, "A guide to convolution arithmetic", 2016).
+    `_over_window` picks its path with the roles swapped, D filters over K
+    channels. Where D >= K (psc's conv2-6), the output gradient is
     scattered to rows kept + width - 1 of a zeroed (N + width - 1, K)
     array, the straddling rows staying zero. Input row r's window is then
-    rows r to r + width - 1 of that array, and `_window_matmul`, the
-    forward's routine, multiplies the windows of all N input rows by the
-    flipped filters, (width*K, D), into gx block by block. Where D < K
-    (cnn-pool's conv2 and conv3), one GEMM over the kept rows,
-    g @ filters.reshape(K, width*D), yields every tap's product, and its
-    tap-i columns are added to gx[kept + i] in tap order. That product is
-    not blocked, since blocks would add an input row's taps out of tap
-    order.
+    rows r to r + width - 1 of that array, and the forward's window
+    product, by phase where N >= width*D and else `_window_matmul`,
+    multiplies the windows of all N input rows by the flipped filters,
+    (width*K, D), into gx. Where D < K (cnn-pool's conv2 and conv3), one
+    GEMM over the kept rows, g @ filters.reshape(K, width*D), yields every
+    tap's product, and its tap-i columns are added to gx[kept + i] in tap
+    order. That product is not blocked, since blocks would add an input
+    row's taps out of tap order.
     """
     if activation not in CONV_ACTIVATIONS:
         raise ConfigError(f"unknown convolution activation {activation!r}")
@@ -254,15 +293,18 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     n = N - width + 1
     kept = _segment_rows(_offsets(lengths), conv_out_lengths(lengths, width))
     N_out = len(kept)
-    if _over_window(D, K):
-        out_data = np.empty((N_out, K), dtype=np.result_type(x.data, filters.data))
-        _window_matmul(x.data, kept, width, filters.data.reshape(K, width * D).T, out_data)
-    else:
-        flat = x.data[:n] @ filters.data[:, 0, :].T
-        for i in range(1, width):
-            flat += x.data[i:i + n] @ filters.data[:, i, :].T
+    dtype = np.result_type(x.data, filters.data)
+    weights = filters.data.reshape(K, width * D).T
+    by_phase = _by_phase(n, width, K)
+    if by_phase:
+        flat = np.empty((n, K), dtype=dtype)
+        for j, win in _phases(x.data, n, width):
+            np.matmul(win, weights, out=flat[j::width])
         out_data = flat[kept]
         del flat
+    else:
+        out_data = np.empty((N_out, K), dtype=dtype)
+        _window_matmul(x.data, kept, width, weights, out_data)
     out_data += bias.data
 
     out = Tensor(out_data, _parents=(x, filters, bias), _op="conv1d")
@@ -276,22 +318,34 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
                 g *= out.data > 0
             if bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=0))
+            window_gx = x.requires_grad and _over_window(K, D)
+            if window_gx or (by_phase and filters.requires_grad):
+                # row r + width - 1 holds the gradient of window r; the
+                # straddling windows and width - 1 rows at each end stay zero
+                gp = np.zeros((N + width - 1, K), dtype=g.dtype)
+                gp[kept + width - 1] = g
             if filters.requires_grad:
-                win = sliding_window_view(x.data, width, axis=0).transpose(0, 2, 1)
-                parts = (g[s:e].T @ win[kept[s:e]].reshape(e - s, width * D)
-                         for s, e in _window_blocks(N_out))
+                if by_phase:
+                    g_flat = gp[width - 1:width - 1 + n]
+                    parts = (g_flat[j::width].T @ win for j, win in _phases(x.data, n, width))
+                else:
+                    win = sliding_window_view(x.data, width, axis=0).transpose(0, 2, 1)
+                    parts = (g[s:e].T @ win[kept[s:e]].reshape(e - s, width * D)
+                             for s, e in _window_blocks(N_out))
                 gf = next(parts)  # the first product starts the sum: no zero fill
                 for part in parts:
                     gf += part
                 filters.accumulate_grad(gf.reshape(K, width, D))
                 del gf  # before the input gradient allocates: lower peak RSS
             if x.requires_grad:
-                if _over_window(K, D):
-                    gp = np.zeros((N + width - 1, K), dtype=g.dtype)
-                    gp[kept + width - 1] = g
+                if window_gx:
                     flipped = filters.data[:, ::-1, :].transpose(1, 0, 2).reshape(width * K, D)
                     gx = np.empty((N, D), dtype=x.data.dtype)
-                    _window_matmul(gp, np.arange(N), width, flipped, gx)
+                    if _by_phase(N, width, D):
+                        for j, win in _phases(gp, N, width):
+                            np.matmul(win, flipped, out=gx[j::width])
+                    else:
+                        _window_matmul(gp, np.arange(N), width, flipped, gx)
                 else:
                     gx = np.zeros((N, D), dtype=x.data.dtype)
                     gw = g @ filters.data.reshape(K, width * D)

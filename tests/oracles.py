@@ -158,16 +158,20 @@ def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
     gradient, in the fast path's summation order.
 
     x: packed (N, D) with `lengths`; grad_out: packed (N_out, K). The
-    filter gradient is `np.tensordot` over the tap-major windows of the
-    kept rows of a sliding-window view, summed block by block over
-    `ops._window_blocks(N_out)` into (K, width, D). The input gradient,
-    with at least as many input channels as filters, is one GEMM over every
-    row's window of the output gradient, zero-padded in front by width - 1
-    rows, with the flipped filters; with fewer channels, one GEMM over the
-    kept rows with all the taps' filters side by side, whose tap-i columns
-    are added to the rows kept + i in tap order. The fast path must match
-    it bitwise (up to the sign of zeros). Returns (d_bias, d_filters, d_x)
-    in `dtype`.
+    filter gradient is `np.tensordot` of the output gradient with the
+    tap-major windows of a sliding-window view, summed into
+    (K, width, D) the way the op sums it. Where `ops._by_phase` takes the
+    layer's n = N - width + 1 windows by phase, the output gradient is
+    placed at its windows' rows of a zeroed (n, K) array, and the sum runs
+    over the phases j < width in order, phase j being windows j, j + width,
+    ... Elsewhere it runs over the windows of the kept rows, block by block
+    over `ops._window_blocks(N_out)`. The input gradient, with at least as
+    many input channels as filters, is one GEMM over every row's window of
+    the output gradient, zero-padded in front by width - 1 rows, with the
+    flipped filters; with fewer channels, one GEMM over the kept rows with
+    all the taps' filters side by side, whose tap-i columns are added to
+    the rows kept + i in tap order. The fast path must match it bitwise (up
+    to the sign of zeros). Returns (d_bias, d_filters, d_x) in `dtype`.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
@@ -178,13 +182,20 @@ def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
     g = np.asarray(grad_out, dtype=dtype)
     N, D = x.shape
     K, width, _ = filters.shape
+    n = N - width + 1
     starts = np.cumsum(lengths) - lengths
     keep = np.concatenate([s + np.arange(l - width + 1) for s, l in zip(starts, lengths)])
     d_bias = g.sum(axis=0)
-    win = sliding_window_view(x, width, axis=0).transpose(0, 2, 1)[keep]  # (N_out, width, D)
+    win = sliding_window_view(x, width, axis=0).transpose(0, 2, 1)  # (n, width, D)
     d_filters = np.zeros((K, width, D), dtype=dtype)
-    for s, e in ops._window_blocks(len(keep)):
-        d_filters += np.tensordot(g[s:e], win[s:e], axes=([0], [0]))
+    if ops._by_phase(n, width, K):
+        g_all = np.zeros((n, K), dtype=dtype)
+        g_all[keep] = g
+        for j in range(width):
+            d_filters += np.tensordot(g_all[j::width], win[j::width], axes=([0], [0]))
+    else:
+        for s, e in ops._window_blocks(len(keep)):
+            d_filters += np.tensordot(g[s:e], win[keep[s:e]], axes=([0], [0]))
     if D >= K:
         padded = np.zeros((N + width - 1, K), dtype=dtype)
         padded[keep + width - 1] = g
@@ -203,9 +214,8 @@ def reference_forward(model, batch, lengths, scores=False):
     """A SpeechModel's forward pass on a padded (B, T, D) batch, computed
     the padded way: every layer keeps (B, T', K) arrays, zero-fills the
     frames past each row's valid length, pools with -inf fills, and masks
-    the time reductions. A convolution with at least as many filters as
-    input channels is one GEMM over the tap-major windows of every row,
-    padding included; one with fewer runs a GEMM per tap. Plain numpy, no
+    the time reductions. Every convolution is one GEMM over the tap-major
+    windows of every row, padding included. Plain numpy, no
     Tensors. Returns the (B, W) probabilities, and with `scores` (psc) also
     the padded (B, T', W) score map and its valid lengths.
     """
@@ -224,18 +234,10 @@ def reference_forward(model, batch, lengths, scores=False):
             F = model.params[f"conv{conv_i}.filters"].data
             b = model.params[f"conv{conv_i}.bias"].data
             B, T, D = x.shape
-            K, T_out, n = len(F), T - width + 1, B * T - width + 1
-            if K >= D:  # one GEMM over every row's tap-major window
-                win = sliding_window_view(x, width, axis=1).transpose(0, 1, 3, 2)
-                x = win.reshape(B * T_out, width * D) @ F.reshape(K, width * D).T
-                x = (x + b).reshape(B, T_out, K)
-            else:  # one GEMM per tap over the flattened batch
-                x_flat = x.reshape(B * T, D)
-                flat = np.zeros((B * T, K), dtype=dtype)
-                for i in range(width):
-                    flat[:n] += x_flat[i:i + n] @ F[:, i, :].T
-                x = np.empty((B, T_out, K), dtype=dtype)
-                np.add(flat.reshape(B, T, K)[:, :T_out], b, out=x)
+            K, T_out = len(F), T - width + 1
+            win = sliding_window_view(x, width, axis=1).transpose(0, 1, 3, 2)
+            x = win.reshape(B * T_out, width * D) @ F.reshape(K, width * D).T
+            x = (x + b).reshape(B, T_out, K)
             lens = lens - width + 1
             x[np.arange(T_out)[None, :] >= lens[:, None]] = 0.0
             if activation == "relu":

@@ -215,20 +215,6 @@ TRAINING_FRAMES = (128, 259)  # the default corpus's training utterances
 SCORING_FRAMES = (127, 610)  # the utterances the score-long workload scores
 
 
-@pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
-@pytest.mark.parametrize("make", [cnn_pool, psc])
-def test_input_gradient_takes_the_window_where_channels_are_at_least_filters(make, frames):
-    # the input gradient convolves K channels with D filters, so the
-    # forward's rule swapped: psc's conv2-6 (96 -> 96, 96 -> 20) take the
-    # padded window, cnn-pool's conv2 and conv3 (64 -> 256, 256 -> 1024) the
-    # kept-row GEMM; conv1's input, the features, needs no gradient
-    spec = make(20)
-    lengths = np.random.default_rng(48).integers(frames[0], frames[1] + 1, size=32)
-    layers = _default_conv_layers(spec, lengths)[1:]
-    taken = [ops._over_window(K, D) for _, D, K, _ in layers]
-    assert taken == ([False] * 2 if make is cnn_pool else [True] * 5)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
     # B = 32 training utterances as they reach conv3 (256 -> 1024, width 11):
@@ -263,26 +249,120 @@ def test_conv_kept_row_path_at_cnn_pool_conv3_shape(dtype):
         assert g.dtype == dtype and np.array_equal(g, want), f"{name} gradient"
 
 
+# the path of each product of each default conv layer on B = 32 batches:
+# (forward and filter gradient of conv1, conv2, ...; input gradient of
+# conv2, conv3, ...), since conv1's input, the features, needs no gradient
+CONV_PATHS = {
+    (psc, TRAINING_FRAMES): (["phases"] * 6, ["phases"] * 5),
+    (psc, SCORING_FRAMES): (["phases"] * 6, ["phases"] * 5),
+    (cnn_pool, TRAINING_FRAMES): (["phases", "gathered", "gathered"], ["kept rows"] * 2),
+    (cnn_pool, SCORING_FRAMES): (["phases", "phases", "gathered"], ["kept rows"] * 2),
+}
+
+
+def _conv_paths(make, frames):
+    """The paths `conv1d_valid` takes for the default layers of `make` on
+    32 utterances of `frames` frames, in the form of `CONV_PATHS`."""
+    lengths = np.random.default_rng(47).integers(frames[0], frames[1] + 1, size=32)
+    forward, backward = [], []
+    for lengths, D, K, width in _default_conv_layers(make(20), lengths):
+        N = int(lengths.sum())
+        forward.append("phases" if ops._by_phase(N - width + 1, width, K) else "gathered")
+        if not ops._over_window(K, D):
+            backward.append("kept rows")
+        else:
+            backward.append("phases" if ops._by_phase(N, width, D) else "gathered")
+    return forward, backward[1:]
+
+
 @pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
 @pytest.mark.parametrize("make", [cnn_pool, psc])
-def test_window_forward_takes_the_layers_with_as_many_filters_as_channels(make, frames):
-    # the window made psc's 96 -> 20 output layer slower; every other
-    # default layer has at least as many filters as input channels
-    spec = make(20)
-    lengths = np.random.default_rng(47).integers(frames[0], frames[1] + 1, size=32)
-    taken = [ops._over_window(D, K) for _, D, K, _ in _default_conv_layers(spec, lengths)]
-    assert taken == ([True] * 3 if make is cnn_pool else [True] * 5 + [False])
+def test_conv_forward_takes_phases_where_each_has_as_many_rows_as_filters(make, frames):
+    # the forward and the filter gradient: pooling leaves cnn-pool's wide
+    # conv2 (in training) and conv3 too few rows for their filters' phases
+    assert _conv_paths(make, frames)[0] == CONV_PATHS[make, frames][0]
+
+
+@pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
+@pytest.mark.parametrize("make", [cnn_pool, psc])
+def test_input_gradient_takes_the_window_where_channels_are_at_least_filters(make, frames):
+    # the input gradient convolves K channels with D filters, so the
+    # window's rule swapped: psc's conv2-6 (96 -> 96, 96 -> 20) take the
+    # padded window, by phase, cnn-pool's conv2 and conv3 (64 -> 256,
+    # 256 -> 1024) the kept-row GEMM
+    assert _conv_paths(make, frames)[1] == CONV_PATHS[make, frames][1]
+
+
+@pytest.mark.parametrize("frames", [TRAINING_FRAMES, SCORING_FRAMES])
+@pytest.mark.parametrize("make, layer", [(psc, 1), (cnn_pool, 0)])
+def test_conv_phase_rows_are_bitwise_the_gathered_window_rows(make, layer, frames):
+    # psc's conv2 (96 -> 96) and cnn-pool's conv1 (39 -> 64) on B = 32
+    # batches: the forward's rows, and where D >= K the input gradient's,
+    # are bitwise those of `_window_matmul` over the same windows
+    rng = np.random.default_rng(51)
+    lengths = rng.integers(frames[0], frames[1] + 1, size=32)
+    lengths, D, K, width = _default_conv_layers(make(20), lengths)[layer]
+    N = int(lengths.sum())
+    assert ops._by_phase(N - width + 1, width, K)
+    x = parameter(rng.normal(size=(N, D)), dtype=np.float32)
+    f = parameter(rng.normal(size=(K, width, D)), dtype=np.float32)
+    b = parameter(rng.normal(size=K), dtype=np.float32)
+    out = ops.conv1d_valid(x, f, b, lengths=lengths)
+    kept = np.concatenate([np.arange(s, s + n) for s, n in
+                           zip(np.cumsum(lengths) - lengths, ops.conv_out_lengths(lengths, width))])
+    want = np.empty_like(out.data)
+    ops._window_matmul(x.data, kept, width, f.data.reshape(K, width * D).T, want)
+    want += b.data
+    assert np.array_equal(out.data, want)
+    if D >= K:
+        assert ops._by_phase(N, width, D)
+        probe = rng.normal(size=out.data.shape).astype(np.float32)
+        (out * Tensor(probe)).sum().backward()
+        gp = np.zeros((N + width - 1, K), dtype=np.float32)
+        gp[kept + width - 1] = probe
+        flipped = f.data[:, ::-1, :].transpose(1, 0, 2).reshape(width * K, D)
+        want = np.empty_like(x.data)
+        ops._window_matmul(gp, np.arange(N), width, flipped, want)
+        assert np.array_equal(x.grad, want)
+
+
+def test_conv_forward_by_phase_peaks_below_one_gathered_block():
+    # psc's 96 -> 96 forward on 32 scoring utterances copies no window: it
+    # holds less than one gathered block of `_ROWS` windows at any time
+    rng = np.random.default_rng(52)
+    lengths = rng.integers(SCORING_FRAMES[0], SCORING_FRAMES[1] + 1, size=32)
+    lengths, D, K, width = _default_conv_layers(psc(20), lengths)[1]
+    x = parameter(rng.normal(size=(int(lengths.sum()), D)), dtype=np.float32)
+    f = parameter(rng.normal(size=(K, width, D)) * 0.1, dtype=np.float32)
+    b = parameter(np.zeros(K), dtype=np.float32)
+    block_bytes = ops._ROWS * width * D * 4
+    tracemalloc.start()
+    try:
+        out = ops.conv1d_valid(x, f, b, lengths=lengths, activation="relu")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (int(ops.conv_out_lengths(lengths, width).sum()), K)
+    assert peak < block_bytes, f"forward peaked at {peak / block_bytes:.2f}x a gathered block"
+
+
+# psc's conv1, whose _ROWS + 37 kept rows take phases, and a layer whose
+# windows are too few for its filters' phases, so that it gathers them in
+# two blocks: (layout, D, K, width, path)
+WINDOW_CASES = [pytest.param(layout, D, K, width, path, id=layout + suffix)
+                for D, K, width, path, suffix in [(39, 96, 9, "phases", ""),
+                                                  (4, 448, 10, "gathered", "-gathered")]
+                for layout in ("packed", "batch", "lone")]
 
 
 @pytest.mark.parametrize("dtype, tol", CONV_TOLERANCES)
-@pytest.mark.parametrize("layout", ["packed", "batch", "lone"])
-def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, dtype, tol):
+@pytest.mark.parametrize("layout, D, K, width, path", WINDOW_CASES)
+def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, D, K, width, path,
+                                                                    dtype, tol):
     # kept rows that take two blocks: each utterance's rows are bitwise
-    # those of a call on it alone, whichever block they fall in, and within
-    # tolerance of the oracle
+    # those of a call on it alone, whichever phase or block they fall in,
+    # and within tolerance of the oracle
     rng = np.random.default_rng(46)
-    D, K, width = 39, 96, 9  # psc's conv1
-    assert ops._over_window(D, K)
     kept = ops._ROWS + 37
     if layout == "packed":
         out_len = np.full(19, kept // 19)
@@ -291,6 +371,7 @@ def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, dty
         B = 16 if layout == "batch" else 1
         out_len = np.full(B, -(-kept // B))
     lengths = out_len + width - 1
+    assert ops._by_phase(int(lengths.sum()) - width + 1, width, K) == (path == "phases")
     rows = [rng.normal(size=(n, D)).astype(dtype) for n in lengths]
     f = rng.normal(size=(K, width, D)).astype(dtype)
     b = rng.normal(size=K).astype(dtype)
@@ -323,16 +404,20 @@ def test_window_blocks_never_end_in_a_lone_row():
         assert all(R // 2 <= e - s <= R for s, e in blocks), rows
 
 
-@pytest.mark.parametrize("tail", range(2, 9))
-def test_conv_short_tail_block_keeps_the_last_utterance_bitwise_its_lone_call(tail):
-    # kept rows _ROWS + tail at 96 -> 96 in float32: the last utterance's
-    # rows must not land in a block of a few rows, which BLAS runs with
-    # another kernel than the same rows alone
+@pytest.mark.parametrize("tail, D, K, width, path", [
+    pytest.param(tail, D, K, width, path, id=f"{tail}{suffix}")
+    for D, K, width, path, suffix in [(96, 96, 10, "phases", ""),
+                                      (4, 448, 10, "gathered", "-gathered")]
+    for tail in range(2, 9)])
+def test_conv_short_tail_block_keeps_the_last_utterance_bitwise_its_lone_call(tail, D, K, width,
+                                                                              path):
+    # kept rows _ROWS + tail in float32: the last utterance's rows must not
+    # land in a block of a few rows, which BLAS runs with another kernel
+    # than the same rows alone
     rng = np.random.default_rng(49)
-    D = K = 96
-    width = 10
     out_len = np.array([ops._ROWS // 2, ops._ROWS // 2 - 100, 100 + tail])
     lengths = out_len + width - 1
+    assert ops._by_phase(int(lengths.sum()) - width + 1, width, K) == (path == "phases")
     rows = [rng.normal(size=(n, D)).astype(np.float32) for n in lengths]
     f = rng.normal(size=(K, width, D)).astype(np.float32)
     b = rng.normal(size=K).astype(np.float32)
@@ -342,21 +427,23 @@ def test_conv_short_tail_block_keeps_the_last_utterance_bitwise_its_lone_call(ta
     assert np.array_equal(unpack(out, out_len)[-1], alone)
 
 
-def test_conv_backward_over_three_blocks_peaks_below_the_whole_window():
-    # the filter gradient's window and the input gradient's padded windows
-    # are built block by block, never as one (N_out, width * D) matrix
+def _conv_backward_peak(lengths, path):
+    """(tracemalloc peak, bytes of the whole (N_out, width * D) window
+    matrix) of a 96 -> 96 conv backward on utterances of `lengths` frames,
+    whose kept rows fill three `_window_blocks` and whose products take
+    `path`."""
     rng = np.random.default_rng(50)
     D = K = 96
     width = 10
-    lengths = np.full(12, 1010)
+    N = int(lengths.sum())
     n_out = int(ops.conv_out_lengths(lengths, width).sum())
     assert len(list(ops._window_blocks(n_out))) == 3
-    x = parameter(rng.normal(size=(int(lengths.sum()), D)))
+    assert ops._by_phase(N - width + 1, width, K) == ops._by_phase(N, width, D) == (path == "phases")
+    x = parameter(rng.normal(size=(N, D)))
     f = parameter(rng.normal(size=(K, width, D)) * 0.1)
     b = parameter(np.zeros(K))
     out = ops.conv1d_valid(x, f, b, lengths=lengths)
     out.grad = rng.normal(size=out.data.shape).astype(np.float32)
-    window_bytes = n_out * width * D * 4
     tracemalloc.start()
     try:
         out._backward()
@@ -364,6 +451,21 @@ def test_conv_backward_over_three_blocks_peaks_below_the_whole_window():
     finally:
         tracemalloc.stop()
     assert x.grad is not None and f.grad is not None
+    return peak, n_out * width * D * 4
+
+
+def test_conv_backward_over_three_blocks_peaks_below_the_whole_window():
+    # the filter gradient's windows and the input gradient's padded windows
+    # are read by phase, never copied as one matrix
+    peak, window_bytes = _conv_backward_peak(np.full(12, 1010), "phases")
+    assert peak < window_bytes, f"backward peaked at {peak / window_bytes:.2f}x the window"
+
+
+def test_conv_gathered_backward_over_three_blocks_peaks_below_the_whole_window(monkeypatch):
+    # too few windows for phases: both gradients gather their windows block
+    # by block, in blocks of at most 256 rows here, never as one matrix
+    monkeypatch.setattr(ops, "_ROWS", 256)
+    peak, window_bytes = _conv_backward_peak(np.full(3, 250), "gathered")
     assert peak < window_bytes, f"backward peaked at {peak / window_bytes:.2f}x the window"
 
 
