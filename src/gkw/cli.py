@@ -446,14 +446,16 @@ def cmd_score(args, sections):
     ids = manifest.ids(args.split)
     if not ids:
         raise DataError(f"manifest has no {args.split!r} utterances")
-    features = manifest.load_features(ids)
+    # read in each batch, not held: scoring keeps the model and one batch
+    features = manifest.feature_files(ids)
     out = Path(args.out)
     on_map = None
     if localize:
         loc_dir = out.parent / (out.stem + ".localization")
-        loc_dir.mkdir(parents=True, exist_ok=True)
 
         def on_map(utt_id, h):
+            # made at the first map, once every input has been read and checked
+            loc_dir.mkdir(parents=True, exist_ok=True)
             write_features(loc_dir / f"{utt_id}.gkwf", h)
 
     scores = score_utterances(model, features, ids, on_map=on_map)

@@ -178,7 +178,7 @@ def write_features(path, matrix):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, matrix.shape[0], matrix.shape[1]))
-        fh.write(matrix.tobytes())
+        fh.write(matrix)  # the array's own buffer, not a bytes copy of it
 
 
 def read_features(path):
@@ -195,12 +195,12 @@ def read_features(path):
             raise FormatError(
                 f"{path}: truncated payload, header claims {rows}x{cols}"
             )
-        payload = fh.read(nbytes + 1)
-    if len(payload) != nbytes:
-        raise FormatError(
-            f"{path}: truncated or oversized payload, header claims {rows}x{cols}"
-        )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+        # read straight into the returned array, with no bytes copy
+        matrix = np.empty((rows, cols), dtype="<f4")
+        if fh.readinto(matrix) != nbytes or fh.read(1):
+            raise FormatError(
+                f"{path}: truncated or oversized payload, header claims {rows}x{cols}"
+            )
     if not np.isfinite(matrix).all():
         raise FormatError(f"{path}: non-finite feature values")
     return matrix

@@ -237,6 +237,22 @@ def _init_limit(activation, fan_in, fan_out):
     return np.sqrt(6.0 / (fan_in + fan_out))
 
 
+# values per float64 draw of a seeded initialisation, cast into the
+# parameter at once: a build holds no float64 copy of a whole parameter
+# (cnn-pool's dense1 would take 33.5 MB). The generator yields the same
+# stream however its draws are split, so the values do not depend on this
+_DRAW = 1 << 16
+
+
+def _uniform_into(rng, limit, data):
+    """Fill `data` with rng.uniform(-limit, limit, size=data.shape) cast to
+    its dtype, drawn `_DRAW` values at a time."""
+    flat = data.reshape(-1)
+    for lo in range(0, flat.size, _DRAW):
+        flat[lo:lo + _DRAW] = rng.uniform(-limit, limit, size=min(_DRAW, flat.size - lo))
+    return data
+
+
 class SpeechModel:
     """Parameter store plus the forward pass for one ArchitectureSpec."""
 
@@ -255,7 +271,7 @@ class SpeechModel:
             elif limit is None:
                 data = np.zeros(shape, dtype=dtype)
             else:
-                data = rng.uniform(-limit, limit, size=shape).astype(dtype)
+                data = _uniform_into(rng, limit, np.empty(shape, dtype=dtype))
             self.params[name] = Tensor(data, requires_grad=True, _op=name)
 
     def parameters(self):
@@ -406,16 +422,46 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
 
-def _pad_batch(feature_map, ids, dtype):
-    lengths = np.array([len(feature_map[i]) for i in ids], dtype=np.int64)
-    width = feature_map[ids[0]].shape[1]
-    batch = np.zeros((len(ids), int(lengths.max()), width), dtype=dtype)
+def _frame_counts(spec, feature_map, ids):
+    """Frames of each utterance of `ids`, as a dict id -> count, looking
+    each up in `feature_map` once. Refuses an id with no features, with
+    features that are not (T, spec.input_dim), or with fewer frames than
+    `spec` needs."""
+    frames = {}
+    for utt_id in ids:
+        try:
+            feats = feature_map[utt_id]
+        except KeyError:
+            raise DataError(f"utterance {utt_id!r} has no features") from None
+        if np.ndim(feats) != 2 or np.shape(feats)[1] != spec.input_dim:
+            raise DataError(
+                f"utterance {utt_id!r} has features of shape {np.shape(feats)}; "
+                f"expected (T, {spec.input_dim})"
+            )
+        n = frames[utt_id] = len(feats)
+        if n < spec.min_frames:
+            raise InvalidInputError(
+                f"utterance {utt_id!r} has {n} frames; "
+                f"the {spec.variant} architecture needs at least {spec.min_frames}"
+            )
+    return frames
+
+
+def _pad_batch(feature_map, frames, ids, dtype):
+    """(batch, lengths): the utterances of `ids` zero-padded into one
+    (B, T, D) array, with `frames` giving each one's length, so that each
+    is looked up in `feature_map` once."""
+    lengths = np.array([frames[i] for i in ids], dtype=np.int64)
+    batch = None
     for row, utt_id in enumerate(ids):
-        batch[row, : lengths[row]] = feature_map[utt_id]
+        feats = feature_map[utt_id]
+        if batch is None:
+            batch = np.zeros((len(ids), int(lengths.max()), feats.shape[1]), dtype=dtype)
+        batch[row, : lengths[row]] = feats
     return batch, lengths
 
 
-def _length_ordered_batches(feature_map, ids, batch_size, dtype):
+def _length_ordered_batches(feature_map, frames, ids, batch_size, dtype):
     """Padded batches over `ids` in (length, id) order, for forward-only
     passes: yields (rows, chunk, batch, lengths), where rows are the
     positions in `ids` of the utterances in `chunk`.
@@ -425,31 +471,20 @@ def _length_ordered_batches(feature_map, ids, batch_size, dtype):
     packs on entry is small (9.7% padding against 40.1% in manifest order
     on 127-610 frame utterances at B=32).
     """
-    order = sorted(range(len(ids)), key=lambda k: (len(feature_map[ids[k]]), ids[k]))
+    order = sorted(range(len(ids)), key=lambda k: (frames[ids[k]], ids[k]))
     for start in range(0, len(order), batch_size):
         rows = order[start : start + batch_size]
         chunk = [ids[k] for k in rows]
-        batch, lengths = _pad_batch(feature_map, chunk, dtype)
+        batch, lengths = _pad_batch(feature_map, frames, chunk, dtype)
         yield rows, chunk, batch, lengths
 
 
-def _check_min_frames(spec, feature_map, ids):
-    """Refuse an id with no features, or with fewer frames than `spec` needs."""
-    for utt_id in ids:
-        if utt_id not in feature_map:
-            raise DataError(f"utterance {utt_id!r} has no features")
-        if len(feature_map[utt_id]) < spec.min_frames:
-            raise InvalidInputError(
-                f"utterance {utt_id!r} has {len(feature_map[utt_id])} frames; "
-                f"the {spec.variant} architecture needs at least {spec.min_frames}"
-            )
-
-
 def _epoch_loss(model, feature_map, target_map, ids, batch_size):
+    frames = _frame_counts(model.spec, feature_map, ids)
     total = 0.0
     with no_grad():
         for _, chunk, batch, lengths in _length_ordered_batches(
-            feature_map, ids, batch_size, model.dtype
+            feature_map, frames, ids, batch_size, model.dtype
         ):
             targets = np.stack([target_map[i] for i in chunk])
             loss = bow_loss(model.forward(batch, lengths), targets)
@@ -490,7 +525,7 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
         raise DataError("no training utterances")
     if not dev_ids:
         raise DataError("no dev utterances for early stopping")
-    _check_min_frames(spec, feature_map, [*train_ids, *dev_ids])
+    frames = _frame_counts(spec, feature_map, [*train_ids, *dev_ids])
     for utt_id in list(train_ids) + list(dev_ids):
         if utt_id not in target_map:
             raise DataError(f"utterance {utt_id!r} has no target")
@@ -526,7 +561,7 @@ def train(feature_map, target_map, train_ids, dev_ids, spec, config=None,
         running = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
-            batch, lengths = _pad_batch(feature_map, chunk, model.dtype)
+            batch, lengths = _pad_batch(feature_map, frames, chunk, model.dtype)
             targets = np.stack([target_map[i] for i in chunk])
             try:
                 loss = bow_loss(model.forward(batch, lengths), targets)
@@ -572,6 +607,13 @@ def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
     """Forward a list of utterances; returns an (N, vocab_size) float32
     matrix whose row k belongs to ids[k].
 
+    `feature_map` is any mapping from id to (T, D) features: a dict, or one
+    that reads a file at each lookup and keeps nothing
+    (`CorpusManifest.feature_files`), so that scoring holds the model and
+    about one batch, not the whole split. Each utterance is looked up at
+    most twice: once for its length, before any batch runs, so every
+    utterance is checked before any output is made, and once in its batch.
+
     The utterances run in batches of `batch_size` taken in (length, id)
     order, not in the order of `ids`, so any order of the same ids gives
     the same rows to the bit. With `on_map` (psc only), each utterance's
@@ -579,11 +621,11 @@ def score_utterances(model, feature_map, ids, batch_size=32, on_map=None):
     on_map(utt_id, h): a view into the batch, valid only during the call.
     The calls come in (length, id) order.
     """
-    _check_min_frames(model.spec, feature_map, ids)
+    frames = _frame_counts(model.spec, feature_map, ids)
     out = np.zeros((len(ids), model.spec.vocab_size), dtype=np.float32)
     with no_grad():
         for rows, chunk, batch, lengths in _length_ordered_batches(
-            feature_map, ids, batch_size, model.dtype
+            feature_map, frames, ids, batch_size, model.dtype
         ):
             if on_map is None:
                 probs = model.forward(batch, lengths)
@@ -620,14 +662,22 @@ def save_checkpoint(path, model, vocab_fingerprint, metadata):
             arr = np.ascontiguousarray(p.data, dtype=f"<f{itemsize}")
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr)  # the array's own buffer, not a bytes copy of it
 
 
-def _read_exact(fh, n, path, what):
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():  # no read of a corrupt size
+def _read_exact(fh, n, path, what, dtype=None):
+    """The next `n` bytes of the checkpoint: as bytes, or with `dtype` read
+    straight into a new 1-D array of that dtype. Nothing is allocated or
+    read before the file is known to hold n more bytes."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():  # a corrupt size
         raise FormatError(f"{path}: truncated checkpoint while reading {what}")
-    blob = fh.read(n)
-    if len(blob) != n:
+    if dtype is None:
+        blob = fh.read(n)
+        got = len(blob)
+    else:
+        blob = np.empty(n // np.dtype(dtype).itemsize, dtype=dtype)
+        got = fh.readinto(blob)
+    if got != n:
         raise FormatError(f"{path}: truncated checkpoint while reading {what}")
     return blob
 
@@ -693,12 +743,11 @@ def load_checkpoint(path, vocab=None, variant=None, dtype=np.float32):
                     f"{path}: parameter {name}: stored shape {shape} != "
                     f"expected {expected}"
                 )
-            count = int(np.prod(shape))
-            blob = _read_exact(fh, itemsize * count, path, f"{name} values")
-            # one copy, which also makes the array writable; the blob goes
-            # at once, so the load peaks near the parameters' own size
-            arrays[name] = np.frombuffer(blob, dtype=f"<f{itemsize}").reshape(shape).astype(dtype)
-            del blob
+            # read straight into the array: at the stored width it is the
+            # parameter itself, so the load peaks near the parameters' size
+            stored = _read_exact(fh, itemsize * int(np.prod(shape)), path, f"{name} values",
+                                 dtype=f"<f{itemsize}")
+            arrays[name] = stored.reshape(shape).astype(dtype, copy=False)
         trailing = fh.read(1)
     if trailing:
         raise FormatError(f"{path}: trailing bytes after parameters")
@@ -724,7 +773,7 @@ def gradient_check(spec, seed=0, step=1e-5, frames=None):
     model = SpeechModel(spec, seed=seed + 1, dtype=np.float64)
     frames = np.atleast_1d(spec.min_frames + 6 if frames is None else frames)
     draws = {row: rng.normal(size=(n, spec.input_dim)) * 0.5 for row, n in enumerate(frames)}
-    x, lengths = _pad_batch(draws, list(draws), np.float64)
+    x, lengths = _pad_batch(draws, dict(enumerate(frames)), list(draws), np.float64)
     y = (rng.uniform(size=(len(lengths), spec.vocab_size)) < 0.5).astype(np.float64)
 
     def loss_value():

@@ -20,7 +20,8 @@ tiles the input without overlap, so each such phase of the windows is a
 reshape of a slice of the input, and one GEMM per phase runs on it with no
 copy; the rows the layer keeps are then gathered from the result. On a
 shorter input the layer gathers the windows of the rows it keeps, in
-blocks of at most `_ROWS` rows, one GEMM per block. A lone utterance takes
+blocks of at most `_WINDOW_BYTES` bytes of windows, one GEMM per block, so
+the copy is bounded whatever the batch. A lone utterance takes
 the same rule as a batch. Backward runs the same window products: the
 filter gradient is summed phase by phase or block by block, and the input
 gradient, itself a convolution with the channels and filters swapped, runs
@@ -112,18 +113,26 @@ def _segment_rows(starts, counts, step=1):
     return np.repeat(starts, counts) + step * within
 
 
-# rows per GEMM of a convolution's gathered window path (`_window_matmul`
-# and the blocked filter gradient); a block's window matrix holds at most
-# _ROWS * width * D values (16 MB at psc's 96-channel layers in float32),
-# whatever the input's length. The phase path copies no window and needs no
-# bound. Measured when every layer gathered its windows: the forward passes
-# of the eight layers that did, in both default models, on a
-# length-ordered batch of 32 scoring utterances (about 9.6k conv1 rows),
-# 2-core Xeon, summed: 1024 to 4096 rows 95-106 ms, 512 110 ms, 8192
-# 106-112 ms and one block for the whole batch 115-119 ms, where psc's
-# 96 -> 96 layers slowed from about 14 to 21 ms each; the flat optimum makes
-# this a constant, not a setting
-_ROWS = 4096
+# bytes of windows in one block of a convolution's gathered window path
+# (`_window_matmul` and the gathered filter gradient): a block holds
+# _WINDOW_BYTES // (width * D * itemsize) rows, at least one, whatever the
+# input's length (`_window_blocks`). The phase path copies no window and
+# needs no bound. 8 MiB keeps every float32 gathered product of a B=32
+# batch of the default corpus's training utterances (at most 259 frames)
+# one block, so training sums as one GEMM: cnn-pool's 64 -> 256 conv2 takes
+# up to 3276 rows a block and needs at most 2400, its 256 -> 1024 conv3 744
+# and needs 480. On B=32 batches of 127-610 frame scoring utterances, conv3
+# keeps up to about 1600 rows, which a cap of 4096 rows left as one 18 MB
+# copy and 8 MiB splits into 3 blocks; its forward took 53.9 ms in three
+# blocks against 52.3 ms in one at 1610 rows, and 32.7 against 31.7 ms in
+# two at 985 rows (medians of 15 calls, 2-core Xeon). Earlier, when every
+# layer gathered its windows and blocks were counted in rows, the forward
+# passes of the eight layers that did, in both default models, on a
+# length-ordered batch of 32 scoring utterances summed to 95-106 ms with
+# blocks of 3.9 to 15.7 MB at psc's 96-channel layers, 110 ms with 2 MB,
+# 106-112 ms with 31 MB and 115-119 ms with one block for the whole batch;
+# the flat optimum makes this a constant, not a setting
+_WINDOW_BYTES = 8 << 20
 
 
 def _over_window(channels, filters):
@@ -163,12 +172,15 @@ def _phases(src, rows, width):
         yield j, src[j:j + width * q].reshape(q, -1)
 
 
-def _window_blocks(rows):
-    """(start, stop) of ceil(rows / `_ROWS`) near-equal blocks that cover
-    `rows` rows. Beyond `_ROWS` rows every block holds at least `_ROWS` / 2
-    rows: BLAS runs products of a few rows with other kernels, which can
-    round the last bit differently from the same rows inside a tall GEMM."""
-    count = max(1, -(-rows // _ROWS))
+def _window_blocks(rows, row_bytes):
+    """(start, stop) of the fewest near-equal blocks that cover `rows`
+    windows of `row_bytes` bytes each with at most `_WINDOW_BYTES` bytes,
+    or one row, per block. Past one block every block holds at least half
+    a full block's rows: BLAS runs products of a few rows with other
+    kernels, which can round the last bit differently from the same rows
+    inside a tall GEMM."""
+    cap = max(1, _WINDOW_BYTES // row_bytes)
+    count = max(1, -(-rows // cap))
     bounds = [rows * i // count for i in range(count + 1)]
     return zip(bounds[:-1], bounds[1:])
 
@@ -177,12 +189,13 @@ def _window_matmul(src, rows, width, weights, out):
     """out = windows @ weights, where row j of windows is the tap-major
     window src[rows[j]:rows[j]+width] as width * src.shape[1] values.
 
-    Runs one GEMM per `_window_blocks` block. Each block's windows are
-    gathered by row index, which copies them contiguous: numpy runs a
-    product on the overlapping window view itself without BLAS. The copy is
-    dropped at once after its GEMM, so no two blocks are alive together."""
+    Runs one GEMM per `_window_blocks` block, of at most `_WINDOW_BYTES`
+    of windows. Each block's windows are gathered by row index, which
+    copies them contiguous: numpy runs a product on the overlapping window
+    view itself without BLAS. The copy is dropped at once after its GEMM,
+    so no two blocks are alive together."""
     win = sliding_window_view(src, width, axis=0).transpose(0, 2, 1)
-    for s, e in _window_blocks(len(rows)):
+    for s, e in _window_blocks(len(rows), width * src.shape[1] * src.itemsize):
         np.matmul(win[rows[s:e]].reshape(e - s, -1), weights, out=out[s:e])
 
 
@@ -217,18 +230,21 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
     2017); it computes the width - 1 straddling rows at each utterance
     boundary and drops them. Otherwise the layer gathers the window of
     each kept row only, by row index, which copies it, and multiplies
-    blocks of at most `_ROWS` such rows straight into the output
-    (`_window_matmul`); the blocks bound the copy, which a full-batch one
-    would make many times the input on long utterances. At the default
-    models' float32 shapes, on B=32 batches of training or scoring
-    utterances, psc's conv1-6 and cnn-pool's conv1 run by phase, cnn-pool's
-    conv2 by phase on scoring batches only, and its conv3 never. A lone
-    utterance takes the same rule as a batch. Either way the next layer
-    gets a packed matrix again, and each output row is the same inner
-    product, in the same order, on either path and whatever rows share its
-    GEMM, so packing only turns many small GEMMs into tall ones: an
-    utterance's rows in a batch are bitwise those of a call on it alone
-    once it has enough rows to fill a tall GEMM's kernel. BLAS runs
+    blocks of such rows straight into the output (`_window_matmul`). A
+    block holds at most `_WINDOW_BYTES` bytes of windows, whatever the
+    layer's width and channels, so the copy is bounded, where a full-batch
+    one would be many times the input on long utterances; one byte rule
+    blocks the forward, the filter gradient and the D >= K input gradient
+    (`_window_blocks`). At the default models' float32 shapes, on B=32
+    batches of training or scoring utterances, psc's conv1-6 and cnn-pool's
+    conv1 run by phase, cnn-pool's conv2 by phase on scoring batches only,
+    and its conv3 never: one block on a training batch, up to three on a
+    scoring one. A lone utterance takes the same rule as a batch. Either
+    way the next layer gets a packed matrix again, and each output row is
+    the same inner product, in the same order, on either path and whatever
+    rows share its GEMM, so packing only turns many small GEMMs into tall
+    ones: an utterance's rows in a batch are bitwise those of a call on it
+    alone once it has enough rows to fill a tall GEMM's kernel. BLAS runs
     products of a few rows with other kernels that can round the last bit
     differently. At the default models' float32 shapes, probing 1-128
     output rows against a 2000-row batch mate on three seeds, a lone
@@ -331,7 +347,7 @@ def conv1d_valid(x, filters, bias, lengths=None, activation="none"):
                 else:
                     win = sliding_window_view(x.data, width, axis=0).transpose(0, 2, 1)
                     parts = (g[s:e].T @ win[kept[s:e]].reshape(e - s, width * D)
-                             for s, e in _window_blocks(N_out))
+                             for s, e in _window_blocks(N_out, width * D * x.data.itemsize))
                 gf = next(parts)  # the first product starts the sum: no zero fill
                 for part in parts:
                     gf += part

@@ -43,7 +43,20 @@ class Adam:
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
 
-    evaluated whole-array by numpy, so the result is bitwise identical to it.
+    evaluated whole-array by numpy, so the result is bitwise identical to it,
+    with one step added: a first moment that falls below the dtype's
+    smallest normal magnitude (`np.finfo(dtype).tiny`) is set to zero.
+    Without it, a parameter whose gradient has become exactly zero keeps a
+    first moment that decays by beta1 a step into the subnormal range and
+    stays there, since 0.9 times the smallest subnormal rounds back to it;
+    subnormal arithmetic is slow on x86 (an Adam step over cnn-pool's
+    7.35M float32 values took 28.2 ms with none and 84.3 ms with 5.3% of m
+    subnormal, 2-core Xeon), and late-epoch training slowed by about 30%.
+    The update of a first moment that small is far below one ulp of any
+    parameter of normal magnitude, so the parameters keep their bits; the
+    tests check this on both toy models in both precisions. This is the
+    flush-to-zero a CPU mode gives, applied to m alone, since numpy cannot
+    set that mode and it would change rounding elsewhere.
     """
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -92,6 +105,7 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        tiny = np.finfo(p.data.dtype).tiny
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter '{name}'")
@@ -104,6 +118,8 @@ class Adam:
             mb *= b1
             np.multiply(1.0 - b1, gb, out=a_)
             mb += a_
+            np.abs(mb, out=a_)
+            np.copyto(mb, 0.0, where=a_ < tiny)
             vb *= b2
             np.multiply(1.0 - b2, gb, out=a_)
             a_ *= gb

@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,6 +146,26 @@ class UtteranceRecord:
     vision_targets: str = None
 
 
+class _FeatureFiles(Mapping):
+    """Utterance id -> (T, D) features, read from the id's file at each
+    lookup and not kept."""
+
+    def __init__(self, paths):
+        self._paths = paths  # id -> feature file
+
+    def __getitem__(self, utt_id):
+        return read_features(self._paths[utt_id])
+
+    def __contains__(self, utt_id):  # Mapping's would read the file
+        return utt_id in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self):
+        return len(self._paths)
+
+
 @dataclass
 class CorpusManifest:
     records: list
@@ -162,16 +183,22 @@ class CorpusManifest:
             if split is None or r.split == split
         }
 
-    def load_features(self, ids=None):
+    def feature_files(self, ids=None):
+        """The features of `ids` (default: every utterance), in manifest
+        order, as a mapping that reads an utterance's file each time it is
+        looked up and keeps nothing: a caller holds only the matrices it is
+        using."""
         wanted = set(self.ids() if ids is None else ids)
-        out = {}
-        for rec in self.records:
-            if rec.utt_id in wanted:
-                out[rec.utt_id] = read_features(self.root / rec.features)
-        missing = wanted - set(out)
+        paths = {rec.utt_id: self.root / rec.features
+                 for rec in self.records if rec.utt_id in wanted}
+        missing = wanted - set(paths)
         if missing:
             raise DataError(f"manifest has no utterance {sorted(missing)[0]!r}")
-        return out
+        return _FeatureFiles(paths)
+
+    def load_features(self, ids=None):
+        """The features of `ids` (default: every utterance), read into a dict."""
+        return dict(self.feature_files(ids))
 
     def target_paths(self):
         """Distinct vision-target files referenced by the manifest."""

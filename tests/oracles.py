@@ -165,8 +165,9 @@ def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
     placed at its windows' rows of a zeroed (n, K) array, and the sum runs
     over the phases j < width in order, phase j being windows j, j + width,
     ... Elsewhere it runs over the windows of the kept rows, block by block
-    over `ops._window_blocks(N_out)`. The input gradient, with at least as
-    many input channels as filters, is one GEMM over every row's window of
+    over `ops._window_blocks`, the byte rule the op's gathered products
+    share. The input gradient, with at least as many input channels as
+    filters, is one GEMM over every row's window of
     the output gradient, zero-padded in front by width - 1 rows, with the
     flipped filters; with fewer channels, one GEMM over the kept rows with
     all the taps' filters side by side, whose tap-i columns are added to
@@ -194,7 +195,7 @@ def reference_conv1d_backward(x, filters, lengths, grad_out, dtype):
         for j in range(width):
             d_filters += np.tensordot(g_all[j::width], win[j::width], axes=([0], [0]))
     else:
-        for s, e in ops._window_blocks(len(keep)):
+        for s, e in ops._window_blocks(len(keep), width * D * x.itemsize):
             d_filters += np.tensordot(g[s:e], win[keep[s:e]], axes=([0], [0]))
     if D >= K:
         padded = np.zeros((N + width - 1, K), dtype=dtype)

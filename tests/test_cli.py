@@ -4,6 +4,7 @@ import argparse
 import json
 import hashlib
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,72 @@ def test_score_refuses_an_id_that_leaves_the_localization_directory(pipeline, tm
     assert "utterance id" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [corpus]
     assert not list(tmp_path.rglob("escaped-*"))
+
+
+def _test_split(src_path, root, frames, seed):
+    """A corpus at `root` beside the pipeline's vocabulary whose test split
+    holds one utterance of random features per entry of `frames`, in
+    frames' order; returns its manifest path."""
+    (root / "features").mkdir(parents=True)
+    shutil.copy(src_path / "corpus" / "vocabulary.txt", root)
+    rng = np.random.default_rng(seed)
+    records = []
+    for k, n in enumerate(frames):
+        rel = f"features/u{k:03d}.gkwf"
+        write_features(root / rel, rng.normal(size=(n, 39)))
+        records.append({"id": f"u{k:03d}", "split": "test", "features": rel,
+                        "transcription": ["word"]})
+    manifest = root / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return manifest
+
+
+def test_score_refuses_a_bad_feature_file_before_any_output(pipeline, tmp_path, capsys):
+    # the longest utterance, in the second batch of the length order, holds
+    # a NaN: every file is read and checked before the first batch runs, so
+    # no score table, localization directory or map is written
+    src_path, config, _ = pipeline
+    corpus = tmp_path / "corpus"
+    manifest = _test_split(src_path, corpus, range(100, 140), seed=31)
+    bad = read_features(corpus / "features" / "u039.gkwf")
+    bad[7, 3] = np.nan
+    write_features(corpus / "features" / "u039.gkwf", bad)
+    out = tmp_path / "scores.tsv"
+    assert cli.main(["score", str(src_path / "model.gkwm"), str(manifest),
+                     "--out", str(out), "--emit-localization"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
+def test_score_holds_less_than_the_model_plus_the_split(pipeline, tmp_path, capsys):
+    # a test split of seven batches: scoring reads each batch's files when
+    # it runs that batch, so it never holds the whole split's features
+    src_path, _, _ = pipeline
+    frames = [300] * 200
+    manifest = _test_split(src_path, tmp_path / "corpus", frames, seed=32)
+    vocab = Vocabulary.load(tmp_path / "corpus" / "vocabulary.txt")
+    model = SpeechModel(models.psc(len(vocab), conv_filters=(8,) * 5))
+    checkpoint = tmp_path / "psc.gkwm"
+    save_checkpoint(checkpoint, model, vocab.fingerprint(), {})
+    out = tmp_path / "scores.tsv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["score", str(checkpoint), str(manifest), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    model_bytes = sum(p.data.nbytes for _, p in model.parameters())
+    split_bytes = sum(frames) * 39 * 4
+    assert peak < model_bytes + split_bytes, (
+        f"score peaked at {peak / 1e6:.1f} MB; model {model_bytes / 1e6:.1f} MB, "
+        f"split {split_bytes / 1e6:.1f} MB")
+    ids = [f"u{k:03d}" for k in range(len(frames))]
+    features = CorpusManifest.load(manifest).load_features(ids)
+    table = ScoreTable.load(out, vocab=vocab)
+    assert table.utt_ids == ids
+    assert np.array_equal(table.scores, models.score_utterances(model, features, ids))
 
 
 @pytest.mark.parametrize("features", [5, "../elsewhere/x.gkwf"])

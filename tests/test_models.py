@@ -553,6 +553,18 @@ def test_score_utterances_names_a_missing_utterance():
         score_utterances(model, {}, ["zz"])
 
 
+def test_score_utterances_names_an_utterance_of_the_wrong_width():
+    # the narrow utterance is the longer one, second in its batch: the
+    # batch is laid out by the first one's width, so without the check
+    # numpy's broadcast error escapes instead of a DataError
+    spec = toy_spec("psc")
+    model = SpeechModel(spec, seed=0)
+    feats = {"utt-ok": np.zeros((spec.min_frames + 4, 8), dtype=np.float32),
+             "utt-narrow": np.zeros((spec.min_frames + 9, 5), dtype=np.float32)}
+    with pytest.raises(DataError, match=r"'utt-narrow' has features of shape \(\d+, 5\)"):
+        score_utterances(model, feats, ["utt-ok", "utt-narrow"])
+
+
 def test_score_utterances_matches_predict():
     rng = np.random.default_rng(21)
     spec = toy_spec("psc", vocab_size=4)
@@ -650,11 +662,12 @@ def test_epoch_loss_runs_length_ordered_batches_with_the_same_mean():
     feats = ragged_features(rng, spec)
     ids = list(feats)
     targs = {uid: (rng.uniform(size=4) < 0.5).astype(np.float32) for uid in ids}
+    frames = {uid: len(feats[uid]) for uid in ids}
     total = 0.0
     with no_grad():
         for start in range(0, len(ids), 4):  # in the order of `ids`
             chunk = ids[start : start + 4]
-            batch, lengths = models._pad_batch(feats, chunk, model.dtype)
+            batch, lengths = models._pad_batch(feats, frames, chunk, model.dtype)
             targets = np.stack([targs[uid] for uid in chunk])
             total += bow_loss(model.forward(batch, lengths), targets).data.item() * len(chunk)
     seen = forward_spy(model)
@@ -693,20 +706,56 @@ def test_checkpoint_f64_roundtrip_is_bitwise(tmp_path):
         assert np.array_equal(p.data, q.data), name
 
 
+# what building, saving or loading a model may hold beyond its parameters:
+# the finiteness check's boolean mask of the largest parameter (4.2 MB for
+# cnn-pool's dense1) and buffers of a few hundred KB, but no whole-parameter
+# copy (16.8 MB for dense1 in float32)
+FEW_MB = 6 << 20
+
+
+def _traced_peak(fn):
+    """(fn(), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_build_and_save_make_no_whole_parameter_copy(tmp_path):
+    # the initial values are drawn in chunks straight into each parameter,
+    # and a checkpoint writes each parameter's own buffer
+    model, peak = _traced_peak(lambda: SpeechModel(cnn_pool(20), seed=6))
+    param_bytes = sum(p.data.nbytes for _, p in model.parameters())
+    assert peak < param_bytes + FEW_MB, f"build held {(peak - param_bytes) / 1e6:.1f} MB more"
+    _, peak = _traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", model, b"\x04" * 8, {}))
+    assert peak < FEW_MB, f"save held {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("make, dtype", [(cnn_pool, np.float32), (psc, np.float64)])
+def test_chunked_initialisation_is_bitwise_one_whole_draw_per_parameter(make, dtype):
+    # each parameter drawn whole in float64 and cast, as one uniform call
+    # of the seeded generator, gives the values drawn chunk by chunk
+    spec = make(20)
+    model = SpeechModel(spec, seed=6, dtype=dtype)
+    rng = np.random.default_rng(6)
+    for name, shape, limit in models._parameter_layout(spec):
+        want = (np.zeros(shape) if limit is None
+                else rng.uniform(-limit, limit, size=shape)).astype(dtype)
+        got = model.params[name].data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
+
+
 def test_checkpoint_load_peaks_below_twice_the_parameters(tmp_path):
     # the model is built from the stored arrays: no throwaway initialisation
-    # is drawn, and each array is copied once
+    # is drawn, and each array is read straight into the parameter
     model = SpeechModel(cnn_pool(20), seed=6)
     param_bytes = sum(p.data.nbytes for _, p in model.parameters())
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, b"\x04" * 8, {})
-    tracemalloc.start()
-    try:
-        loaded, _, _ = load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * param_bytes, f"load peaked at {peak / param_bytes:.2f}x the parameters"
+    (loaded, _, _), peak = _traced_peak(lambda: load_checkpoint(path))
+    assert peak < param_bytes + FEW_MB, f"load held {(peak - param_bytes) / 1e6:.1f} MB more"
     for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
         assert q.data.flags.writeable and np.array_equal(p.data, q.data), name
 

@@ -326,16 +326,15 @@ def test_conv_phase_rows_are_bitwise_the_gathered_window_rows(make, layer, frame
         assert np.array_equal(x.grad, want)
 
 
-def test_conv_forward_by_phase_peaks_below_one_gathered_block():
-    # psc's 96 -> 96 forward on 32 scoring utterances copies no window: it
-    # holds less than one gathered block of `_ROWS` windows at any time
-    rng = np.random.default_rng(52)
-    lengths = rng.integers(SCORING_FRAMES[0], SCORING_FRAMES[1] + 1, size=32)
-    lengths, D, K, width = _default_conv_layers(psc(20), lengths)[1]
+def _conv_forward_peak(make, layer, frames, seed):
+    """(tracemalloc peak, output bytes) of the float32 forward of conv layer
+    `layer` of `make`'s default model on 32 utterances of `frames` frames."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(frames[0], frames[1] + 1, size=32)
+    lengths, D, K, width = _default_conv_layers(make(20), lengths)[layer]
     x = parameter(rng.normal(size=(int(lengths.sum()), D)), dtype=np.float32)
     f = parameter(rng.normal(size=(K, width, D)) * 0.1, dtype=np.float32)
     b = parameter(np.zeros(K), dtype=np.float32)
-    block_bytes = ops._ROWS * width * D * 4
     tracemalloc.start()
     try:
         out = ops.conv1d_valid(x, f, b, lengths=lengths, activation="relu")
@@ -343,15 +342,56 @@ def test_conv_forward_by_phase_peaks_below_one_gathered_block():
     finally:
         tracemalloc.stop()
     assert out.data.shape == (int(ops.conv_out_lengths(lengths, width).sum()), K)
-    assert peak < block_bytes, f"forward peaked at {peak / block_bytes:.2f}x a gathered block"
+    return peak, out.data.nbytes
 
 
-# psc's conv1, whose _ROWS + 37 kept rows take phases, and a layer whose
-# windows are too few for its filters' phases, so that it gathers them in
-# two blocks: (layout, D, K, width, path)
+def test_conv_forward_by_phase_peaks_below_one_gathered_block():
+    # psc's 96 -> 96 forward on 32 scoring utterances copies no window:
+    # beyond its output it holds less than one gathered block
+    peak, out_bytes = _conv_forward_peak(psc, 1, SCORING_FRAMES, 52)
+    extra = (peak - out_bytes) / ops._WINDOW_BYTES
+    assert peak < out_bytes + ops._WINDOW_BYTES, f"forward held {extra:.2f}x a gathered block"
+
+
+def test_conv_gathered_forward_peaks_below_one_block_plus_its_output():
+    # cnn-pool's 256 -> 1024 conv3 on 32 scoring utterances gathers the
+    # 11 * 256 windows of its kept rows, 939 here (10.6 MB in one copy, and
+    # up to 1563 rows or 17.6 MB on such batches): in blocks of at most
+    # `_WINDOW_BYTES` it holds its output and one block at a time
+    peak, out_bytes = _conv_forward_peak(cnn_pool, 2, SCORING_FRAMES, 53)
+    extra = (peak - out_bytes) / ops._WINDOW_BYTES
+    assert peak < out_bytes + ops._WINDOW_BYTES, f"forward held {extra:.2f}x a gathered block"
+
+
+def test_conv_gathered_products_of_training_batches_are_one_block():
+    # every float32 product that gathers its windows on a B = 32 batch of
+    # the default corpus's training utterances runs as one GEMM, so the
+    # byte budget leaves training's sums as they were with no blocks: a
+    # product gathers only below `_by_phase`'s row count, and no batch
+    # has more rows than 32 utterances of the longest length
+    for make in (cnn_pool, psc):
+        for lengths, D, K, width in _default_conv_layers(make(20), np.full(32, TRAINING_FRAMES[1])):
+            N = int(lengths.sum())
+            n_out = int(ops.conv_out_lengths(lengths, width).sum())
+            products = [(n_out, width * K, width * D * 4)]  # forward and filter gradient
+            if ops._over_window(K, D):  # the input gradient's windows of K channels
+                products.append((N, width * D, width * K * 4))
+            for rows, phase_rows, row_bytes in products:
+                gathered = min(rows, phase_rows - 1)  # the most rows that gather
+                assert len(list(ops._window_blocks(gathered, row_bytes))) == 1, (make, D, K)
+
+
+def _block_rows(width, D, dtype=np.float32):
+    """Rows of a full gathered block of width-`width` windows of D channels."""
+    return ops._WINDOW_BYTES // (width * D * np.dtype(dtype).itemsize)
+
+
+# psc's conv1, whose one block and 37 kept rows take phases, and a layer
+# whose windows are too few for its filters' phases, so that it gathers them
+# in two blocks: (layout, D, K, width, path)
 WINDOW_CASES = [pytest.param(layout, D, K, width, path, id=layout + suffix)
                 for D, K, width, path, suffix in [(39, 96, 9, "phases", ""),
-                                                  (4, 448, 10, "gathered", "-gathered")]
+                                                  (64, 448, 10, "gathered", "-gathered")]
                 for layout in ("packed", "batch", "lone")]
 
 
@@ -363,7 +403,7 @@ def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, D, 
     # those of a call on it alone, whichever phase or block they fall in,
     # and within tolerance of the oracle
     rng = np.random.default_rng(46)
-    kept = ops._ROWS + 37
+    kept = _block_rows(width, D, dtype) + 37
     if layout == "packed":
         out_len = np.full(19, kept // 19)
         out_len[-1] += kept % 19
@@ -382,7 +422,7 @@ def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, D, 
     out = ops.conv1d_valid(Tensor(x, dtype=dtype), f, b, lengths=lens).data
     assert out.dtype == dtype
     out = out.reshape(-1, K)
-    assert len(list(ops._window_blocks(out.shape[0]))) == 2
+    assert len(list(ops._window_blocks(out.shape[0], width * D * out.itemsize))) == 2
     want = oracle_conv1d(pad(rows), f, b, lengths,
                          np.zeros((len(rows), lengths.max() - width + 1, K)))[0]
     for got, u, w, n in zip(unpack(out, out_len), rows, want, out_len):
@@ -391,38 +431,47 @@ def test_conv_window_blocks_match_per_utterance_calls_and_the_oracle(layout, D, 
 
 
 def test_window_blocks_never_end_in_a_lone_row():
-    R = ops._ROWS
-    assert list(ops._window_blocks(1)) == [(0, 1)]
-    assert list(ops._window_blocks(R)) == [(0, R)]
-    assert list(ops._window_blocks(R + 1)) == [(0, R // 2), (R // 2, R + 1)]
-    assert list(ops._window_blocks(R + 2)) == [(0, R // 2 + 1), (R // 2 + 1, R + 2)]
-    assert list(ops._window_blocks(2 * R + 1)) == [(0, 2731), (2731, 5462), (5462, 2 * R + 1)]
+    row_bytes = 10 * 96 * 4  # a psc 96-channel window in float32
+    R = ops._WINDOW_BYTES // row_bytes
+    assert R * row_bytes <= ops._WINDOW_BYTES < (R + 1) * row_bytes
+    assert list(ops._window_blocks(1, row_bytes)) == [(0, 1)]
+    assert list(ops._window_blocks(R, row_bytes)) == [(0, R)]
+    assert list(ops._window_blocks(R + 1, row_bytes)) == [(0, R // 2), (R // 2, R + 1)]
+    assert list(ops._window_blocks(R + 2, row_bytes)) == [(0, R // 2 + 1), (R // 2 + 1, R + 2)]
+    rows = 2 * R + 1
+    assert list(ops._window_blocks(rows, row_bytes)) == [
+        (0, rows // 3), (rows // 3, 2 * rows // 3), (2 * rows // 3, rows)]
     for rows in (R + 1, R + 8, 2 * R, 2 * R + 1, 3 * R - 5, 5 * R + 3):
-        blocks = list(ops._window_blocks(rows))
+        blocks = list(ops._window_blocks(rows, row_bytes))
         assert len(blocks) == -(-rows // R) and blocks[0][0] == 0 and blocks[-1][1] == rows
         assert all(e == s2 for (_, e), (s2, _) in zip(blocks, blocks[1:]))
         assert all(R // 2 <= e - s <= R for s, e in blocks), rows
+    # twice the bytes a row, half the rows a block; a row wider than the
+    # budget still makes a block of one row
+    assert len(list(ops._window_blocks(R, 2 * row_bytes))) == 2
+    assert list(ops._window_blocks(3, ops._WINDOW_BYTES + 1)) == [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("tail, D, K, width, path", [
     pytest.param(tail, D, K, width, path, id=f"{tail}{suffix}")
     for D, K, width, path, suffix in [(96, 96, 10, "phases", ""),
-                                      (4, 448, 10, "gathered", "-gathered")]
+                                      (64, 448, 10, "gathered", "-gathered")]
     for tail in range(2, 9)])
 def test_conv_short_tail_block_keeps_the_last_utterance_bitwise_its_lone_call(tail, D, K, width,
                                                                               path):
-    # kept rows _ROWS + tail in float32: the last utterance's rows must not
-    # land in a block of a few rows, which BLAS runs with another kernel
-    # than the same rows alone
+    # kept rows one full block + tail in float32: the last utterance's rows
+    # must not land in a block of a few rows, which BLAS runs with another
+    # kernel than the same rows alone
     rng = np.random.default_rng(49)
-    out_len = np.array([ops._ROWS // 2, ops._ROWS // 2 - 100, 100 + tail])
+    R = _block_rows(width, D)
+    out_len = np.array([R // 2, R - R // 2 - 100, 100 + tail])
     lengths = out_len + width - 1
     assert ops._by_phase(int(lengths.sum()) - width + 1, width, K) == (path == "phases")
     rows = [rng.normal(size=(n, D)).astype(np.float32) for n in lengths]
     f = rng.normal(size=(K, width, D)).astype(np.float32)
     b = rng.normal(size=K).astype(np.float32)
     out = ops.conv1d_valid(Tensor(pack(rows)[0]), f, b, lengths=lengths).data
-    assert out.shape[0] == ops._ROWS + tail
+    assert out.shape[0] == R + tail
     alone = ops.conv1d_valid(Tensor(rows[-1]), f, b).data
     assert np.array_equal(unpack(out, out_len)[-1], alone)
 
@@ -430,14 +479,14 @@ def test_conv_short_tail_block_keeps_the_last_utterance_bitwise_its_lone_call(ta
 def _conv_backward_peak(lengths, path):
     """(tracemalloc peak, bytes of the whole (N_out, width * D) window
     matrix) of a 96 -> 96 conv backward on utterances of `lengths` frames,
-    whose kept rows fill three `_window_blocks` and whose products take
-    `path`."""
+    whose kept rows fill at least three `_window_blocks` and whose products
+    take `path`."""
     rng = np.random.default_rng(50)
     D = K = 96
     width = 10
     N = int(lengths.sum())
     n_out = int(ops.conv_out_lengths(lengths, width).sum())
-    assert len(list(ops._window_blocks(n_out))) == 3
+    assert len(list(ops._window_blocks(n_out, width * D * 4))) >= 3
     assert ops._by_phase(N - width + 1, width, K) == ops._by_phase(N, width, D) == (path == "phases")
     x = parameter(rng.normal(size=(N, D)))
     f = parameter(rng.normal(size=(K, width, D)) * 0.1)
@@ -463,8 +512,9 @@ def test_conv_backward_over_three_blocks_peaks_below_the_whole_window():
 
 def test_conv_gathered_backward_over_three_blocks_peaks_below_the_whole_window(monkeypatch):
     # too few windows for phases: both gradients gather their windows block
-    # by block, in blocks of at most 256 rows here, never as one matrix
-    monkeypatch.setattr(ops, "_ROWS", 256)
+    # by block, in blocks of at most 256 rows of 96-channel windows here,
+    # never as one matrix
+    monkeypatch.setattr(ops, "_WINDOW_BYTES", 256 * 10 * 96 * 4)
     peak, window_bytes = _conv_backward_peak(np.full(3, 250), "gathered")
     assert peak < window_bytes, f"backward peaked at {peak / window_bytes:.2f}x the window"
 

@@ -90,10 +90,11 @@ def test_deterministic_updates():
 # -- blocked in-place update ----------------------------------------------
 
 def _reference_adam(params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Whole-array Adam, one expression per update, as numpy evaluates it.
+    """Whole-array Adam, one expression per update, as numpy evaluates it,
+    without flushing subnormal first moments.
 
     params: list of arrays (updated in place); grads: per step, a list of
-    arrays or None (treated as zeros)."""
+    arrays or None (treated as zeros). Returns the first moments."""
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t, step_grads in enumerate(grads, start=1):
@@ -103,6 +104,7 @@ def _reference_adam(params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
             m_[...] = b1 * m_ + (1.0 - b1) * g
             v_[...] = b2 * v_ + (1.0 - b2) * g * g
             p -= lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
+    return m
 
 
 def test_blocked_update_is_bitwise_the_reference():
@@ -132,6 +134,59 @@ def test_blocked_update_is_bitwise_the_reference():
         assert p.data.dtype == e.dtype
         assert p.data.tobytes() == e.tobytes()
     assert np.array_equal(params[2].data, init[2])
+
+
+# zero-gradient steps after which a first moment of about 1e-3 would be
+# subnormal without the flush: 0.9 ** k * 1e-3 < np.finfo(dtype).tiny
+ZERO_STEPS = {np.float32: 1000, np.float64: 7000}
+
+
+def _subnormal(x):
+    return (x != 0) & (np.abs(x) < np.finfo(x.dtype).tiny)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_moment_of_a_dead_gradient_holds_no_subnormal(dtype):
+    # one real gradient, then zeros: without the flush m decays into the
+    # subnormal range and stays there, 0.9 times the smallest subnormal
+    # rounding back to it
+    p = parameter(np.linspace(-1.0, 1.0, 64), dtype=dtype)
+    opt = Adam([("p", p)], lr=1e-3)
+    p.grad = np.linspace(-2.0, 3.0, 64).astype(dtype)
+    opt.step()
+    for _ in range(ZERO_STEPS[dtype]):
+        opt.step()
+    assert not _subnormal(opt.m[0]).any()
+    assert not _subnormal(opt.v[0]).any() and not _subnormal(p.data).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["cnn-pool", "psc"])
+def test_flushed_training_is_bitwise_the_unflushed_reference(variant, dtype):
+    # a toy model trained on real gradients, then on zero ones until the
+    # reference's first moments are subnormal: flushing them moves no
+    # parameter's bits
+    spec = toy_spec(variant, vocab_size=4)
+    model = SpeechModel(spec, seed=3, dtype=dtype)
+    init = [p.data.copy() for _, p in model.parameters()]
+    opt = Adam(model.parameters(), lr=1e-2)
+    rng = np.random.default_rng(12)
+    grads = []
+    for _ in range(20):
+        lengths = rng.integers(spec.min_frames, spec.min_frames + 9, size=3)
+        feats = rng.normal(size=(3, int(lengths.max()), spec.input_dim))
+        targets = rng.uniform(size=(3, spec.vocab_size))
+        bow_loss(model.forward(feats, lengths), targets).backward()
+        grads.append([p.grad.copy() for _, p in model.parameters()])
+        opt.step()
+    grads += [[None] * len(init)] * ZERO_STEPS[dtype]
+    for _ in range(ZERO_STEPS[dtype]):
+        opt.step()
+    m = _reference_adam(init, grads, lr=1e-2)
+    assert any(_subnormal(x).any() for x in m)  # the flush had work to do
+    for (name, p), want in zip(model.parameters(), init):
+        assert p.data.tobytes() == want.tobytes(), name
+    assert not any(_subnormal(x).any() for x in opt.m)
 
 
 def test_empty_parameter_list():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gkw import synth
 from gkw.errors import ConfigError, DataError
 from gkw.synth import (
     CorpusManifest,
@@ -164,6 +165,23 @@ def test_manifest_roundtrip(tmp_path):
     assert feats["dev-0000"].dtype == np.float32
     with pytest.raises(DataError, match="nope"):
         loaded.load_features(["nope"])
+
+
+def test_feature_files_read_at_each_lookup_and_keep_nothing(tmp_path, monkeypatch):
+    manifest = generate_corpus(toy_config(), tmp_path)
+    ids = manifest.ids("dev")
+    files = manifest.feature_files(ids)
+    assert list(files) == ids and len(files) == len(ids)
+    reads = []
+    monkeypatch.setattr(synth, "read_features", lambda path: reads.append(path) or path)
+    assert "dev-0000" in files and "train-0000" not in files and not reads
+    assert files["dev-0000"] == files["dev-0000"] == tmp_path / "features" / "dev-0000.gkwf"
+    assert len(reads) == 2  # read again at the second lookup: nothing kept
+    monkeypatch.undo()
+    loaded = manifest.load_features(ids)
+    assert all(np.array_equal(files[u], loaded[u]) for u in ids)
+    with pytest.raises(DataError, match="nope"):
+        manifest.feature_files(["nope"])
 
 
 def test_manifest_load_errors(tmp_path):
